@@ -5,7 +5,7 @@ from .errors import (NumericalAbortError, RootFindError, TailRiskError,
                      ThresholdTooExtremeError, ValidationError)
 from .estimators import EstimatorKind, ReplicationContext, make_context
 from .harness import RunStats, compare, run, variance_trend
-from .linalg import FactorizationSet, factorize_all, transform
+from .linalg import FactorizationSet, factorize_all
 from .model import (LogNormalParams, MaxIndexSet, ModelSpec,
                     check_mak_condition, equicorrelation, from_lognormal,
                     max_index_set, reference_model, to_lognormal)
@@ -27,5 +27,5 @@ __all__ = [
     "factorize_all", "from_lognormal", "is_density", "make_context",
     "make_radial", "marginal_tail", "max_index_set", "normal_tail",
     "psi_bounds", "reference_model", "run", "sphere_density", "to_lognormal",
-    "transform", "variance_trend",
+    "variance_trend",
 ]

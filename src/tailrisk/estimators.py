@@ -6,7 +6,10 @@ unbiased sample of alpha(u):
 * ``cmc``  - crude Monte Carlo indicator.
 * ``ak``   - the classical conditional estimator for i.i.d. risks (applied to
   non-identical marginals through a random-permutation symmetrization, which
-  is unbiased for independent risks and heuristic otherwise; flagged).
+  is unbiased for independent risks and heuristic otherwise; flagged).  It
+  draws independent normals, so it is biased whenever the risks are
+  dependent: a correlation other than the identity, or a non-Gaussian
+  radial law (flagged too).
 * ``mak``  - stratified conditional estimator: condition on all normal
   coordinates except the one driving the selected risk, and integrate the
   remaining one-dimensional Gaussian over the event
@@ -16,16 +19,18 @@ unbiased sample of alpha(u):
 * ``rn``   - like ``zr`` but stratified, conditioned on the maximum, with an
   importance-sampled driver sphere component.
 
-The conditional cores are pure functions of the drawn coordinates, exposed
-separately (``*_values``) so tests can drive them with hand-picked inputs.
-Block engines vectorize replications; every block of ``randsrc.BLOCK_SIZE``
-replications always generates its full draw layout, so results are identical
-however a run is chunked.
+Estimators run only as block engines (:func:`make_engine`), which vectorize
+replications; every block of ``randsrc.BLOCK_SIZE`` replications always
+generates its full draw layout, so results are identical however a run is
+chunked.  The conditional cores are pure functions of the drawn coordinates,
+exposed separately (``*_values``) so tests can drive them with hand-picked
+inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -87,10 +92,9 @@ class BlockResult(NamedTuple):
 
 
 class _Prep(NamedTuple):
-    a_col: np.ndarray      # driver column of A^(j), (d,)
-    a_rest: np.ndarray     # remaining columns, (d, d-1)
-    mak_slopes: np.ndarray  # bg_i * a_col_i, (d,)
-    e2_coeff: np.ndarray   # bg_j - bg_i * a_col_i, (d,)
+    a_rest: np.ndarray     # non-driver columns of A^(j), (d, d-1)
+    mak_slopes: np.ndarray  # bg_i * A^(j)[i, 0], (d,)
+    e2_coeff: np.ndarray   # bg_j - bg_i * A^(j)[i, 0], (d,)
     dlog: np.ndarray       # log(lam_i) - log(lam_j), (d,)
 
 
@@ -116,10 +120,6 @@ class ReplicationContext:
         return self.model.d
 
 
-def _prep(ctx: ReplicationContext, j: int) -> _Prep:
-    return ctx.prep[j]
-
-
 def make_context(model: ModelSpec, u: float, is_a: float = 10.0) -> ReplicationContext:
     """Precompute factorizations, stratification weights and IS tuning.
 
@@ -136,7 +136,6 @@ def make_context(model: ModelSpec, u: float, is_a: float = 10.0) -> ReplicationC
     loglam = np.log(model.lam)
     prep = tuple(
         _Prep(
-            a_col=factors.factors[k][:, 0],
             a_rest=factors.factors[k][:, 1:],
             mak_slopes=model.bg * factors.factors[k][:, 0],
             e2_coeff=model.bg[k] - model.bg * factors.factors[k][:, 0],
@@ -198,7 +197,7 @@ def mak_conditional_values(ctx: ReplicationContext, j: int,
         raise ValidationError(
             "the conditional normal estimator requires the Gaussian radial law")
     m = ctx.model
-    p = _prep(ctx, j)
+    p = ctx.prep[j]
     rest = np.atleast_2d(np.asarray(rest, dtype=float))
     if rest.shape[1] != ctx.d - 1:
         raise ValidationError(f"rest must have {ctx.d - 1} columns")
@@ -235,7 +234,7 @@ def rn_conditional_values(ctx: ReplicationContext, j: int, theta_j: np.ndarray,
     carry the importance weight f(theta)/f_IS(a, b_j, theta).
     """
     m = ctx.model
-    p = _prep(ctx, j)
+    p = ctx.prep[j]
     theta_j = np.atleast_1d(np.asarray(theta_j, dtype=float))
     rest = np.atleast_2d(np.asarray(rest, dtype=float))
     u_sphere = randsrc.assemble_sphere_with_driver(theta_j, rest)
@@ -247,13 +246,7 @@ def rn_conditional_values(ctx: ReplicationContext, j: int, theta_j: np.ndarray,
     log_level = -np.inf if ctx.u <= 0 else np.log(ctx.u)
     psi_lo, psi_hi, ok = exceedance_bounds(logk, slopes, log_level)
     e2 = m.bg[j] * theta_j[:, None] - m.bg[None, :] * theta
-    rhs = np.broadcast_to(p.dlog, e2.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = rhs / e2
-    noti = np.arange(ctx.d)[None, :] != j
-    w_lo = np.max(np.where(noti & (e2 > 0), bound, -np.inf), axis=1)
-    w_hi = np.min(np.where(noti & (e2 < 0), bound, np.inf), axis=1)
-    dead = np.any(noti & (e2 == 0) & (rhs > 0), axis=1)
+    w_lo, w_hi, dead = _max_window(e2, np.broadcast_to(p.dlog, e2.shape), j, ctx.d)
     w_lo = np.maximum(w_lo, 0.0)                          # radius domain
     vals = _measure_exceedance(psi_lo, psi_hi, w_lo, w_hi, _radial_measure(ctx))
     vals = np.where(dead | (w_lo >= w_hi), 0.0, vals)
@@ -280,22 +273,20 @@ def zr_values(ctx: ReplicationContext,
     return vals, ok
 
 
-def cmc_values(ctx: ReplicationContext, normals: np.ndarray) -> np.ndarray:
-    """Indicator of S(u) > u from standard-normal draws (Gaussian radial)."""
+def _risks(ctx: ReplicationContext, w: np.ndarray) -> np.ndarray:
+    """The risks lam_i * exp(bg_i * Y_i) for driver-coordinate rows ``w``,
+    with Y = w A^T for the plain Cholesky factor A."""
     m = ctx.model
-    y = normals @ ctx.factors.factors[0].T
+    y = w @ ctx.factors.factors[0].T
     with np.errstate(over="ignore"):
-        s = np.sum(m.lam * np.exp(m.bg * y), axis=1)
-    return (s > ctx.u).astype(float)
+        return m.lam * np.exp(m.bg * y)
 
 
-def cmc_values_elliptical(ctx: ReplicationContext, radii: np.ndarray,
-                          sphere: np.ndarray) -> np.ndarray:
-    """Indicator of S(u) > u from (R, U) draws (any radial law)."""
-    m = ctx.model
-    y = (radii[:, None] * sphere) @ ctx.factors.factors[0].T
+def cmc_values(ctx: ReplicationContext, w: np.ndarray) -> np.ndarray:
+    """Indicator of S(u) > u from driver-coordinate draws: standard normals
+    (Gaussian radial) or rows R * U (any radial law)."""
     with np.errstate(over="ignore"):
-        s = np.sum(m.lam * np.exp(m.bg * y), axis=1)
+        s = np.sum(_risks(ctx, w), axis=1)
     return (s > ctx.u).astype(float)
 
 
@@ -321,10 +312,7 @@ def ak_values(ctx: ReplicationContext, normals: np.ndarray,
     fixed last index (identical marginals).  The value is
     d * F-bar_cond(max(u + X_cond - S, max over the other X_i)).
     """
-    m = ctx.model
-    y = normals @ ctx.factors.factors[0].T
-    with np.errstate(over="ignore"):
-        x = m.lam * np.exp(m.bg * y)
+    x = _risks(ctx, normals)
     s = np.sum(x, axis=1)
     n_rows = x.shape[0]
     if cond is None:
@@ -345,15 +333,39 @@ def ak_values(ctx: ReplicationContext, normals: np.ndarray,
 # block engines
 # ---------------------------------------------------------------------------
 
-def _identical_marginals(m: ModelSpec) -> bool:
+def identical_marginals(m: ModelSpec) -> bool:
+    """True when every risk has the same weight and exponent slope."""
     return bool(np.all(m.lam == m.lam[0]) and np.all(m.beta == m.beta[0]))
 
 
-def _stratified_engine(ctx, core, force_j):
-    """Shared stratify / group / redraw loop for the mak and rn engines.
+def _redrawn(draw, count: int, where: str) -> tuple[np.ndarray, int, int]:
+    """Evaluate ``draw(count) -> (values, ok, clamped)`` and redraw the rows
+    whose root solve did not converge, up to ``_REDRAW_ATTEMPTS`` times.
 
-    ``core(gen, j, rows_count) -> (values, ok)`` draws the conditional
-    randomness for one stratum and evaluates it.
+    Returns (values, redrawn rows, clamped draws over every attempt).
+    """
+    vals, ok, clamped = draw(count)
+    failures = 0
+    for _ in range(_REDRAW_ATTEMPTS):
+        if ok.all():
+            break
+        bad = np.where(~ok)[0]
+        failures += bad.size
+        redraw, ok_new, more = draw(bad.size)
+        vals[bad] = redraw
+        ok[bad] = ok_new
+        clamped += more
+    if not ok.all():
+        raise NumericalAbortError(
+            f"root solver kept failing {where} after {_REDRAW_ATTEMPTS} redraws")
+    return vals, failures, clamped
+
+
+def _stratified_engine(ctx, core):
+    """Shared stratify / group loop for the mak and rn engines.
+
+    ``core(gen, j, count) -> (values, ok, clamped)`` draws the conditional
+    randomness for ``count`` rows of stratum j and evaluates it.
     """
     z = ctx.strat_weights
     ztot = ctx.strat_total
@@ -363,48 +375,31 @@ def _stratified_engine(ctx, core, force_j):
             f"weights are zero, threshold too extreme")
 
     def engine(gen: np.random.Generator, mb: int) -> BlockResult:
-        if force_j is None:
-            idx = randsrc.stratified_indices(gen, mb, z)
-        else:
-            idx = np.full(mb, force_j, dtype=np.intp)
+        idx = randsrc.stratified_indices(gen, mb, z)
         values = np.zeros(mb)
-        failures = 0
+        failures = clamped = 0
         for j in range(ctx.d):
             rows = np.where(idx == j)[0]
             if rows.size == 0:
                 continue
-            vals, ok = core(gen, j, rows.size)
-            for _ in range(_REDRAW_ATTEMPTS):
-                if ok.all():
-                    break
-                bad = np.where(~ok)[0]
-                failures += bad.size
-                redraw, ok_new = core(gen, j, bad.size)
-                vals[bad] = redraw
-                ok[bad] = ok_new
-            if not ok.all():
-                raise NumericalAbortError(
-                    f"root solver kept failing in stratum {j} after "
-                    f"{_REDRAW_ATTEMPTS} redraws")
-            if force_j is None:
-                values[rows] = ztot * vals / z[j]
-            else:
-                values[rows] = vals            # raw partial estimator
-        return BlockResult(values, failures, 0)
+            vals, fails, clamps = _redrawn(partial(core, gen, j), rows.size,
+                                           f"in stratum {j}")
+            values[rows] = ztot * vals / z[j]
+            failures += fails
+            clamped += clamps
+        return BlockResult(values, failures, clamped)
 
     return engine
 
 
-def make_engine(ctx: ReplicationContext, kind: EstimatorKind,
-                force_j: int | None = None
+def make_engine(ctx: ReplicationContext, kind: EstimatorKind
                 ) -> Callable[[np.random.Generator, int], BlockResult]:
     """Build the vectorized per-block sampler for one estimator.
 
     The returned callable maps (generator, block_rows) to the replication
     values for those rows; its draw layout is fixed by (estimator, model, u)
-    so replication k sees the same randomness regardless of chunking.
-    ``force_j`` pins the stratification index (mak/rn only) and switches the
-    output to the raw per-stratum estimator.
+    so replication k sees the same randomness regardless of chunking.  An
+    ``rn`` kind must carry the ``a`` the context was tuned for (``is_a``).
     """
     d = ctx.d
     kname = kind.name
@@ -417,13 +412,12 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind,
             def engine(gen, mb):
                 q = np.clip(gen.random(mb), 2.0 ** -53, 1.0 - 2.0 ** -53)
                 radii = np.array([ctx.model.radial.quantile(v) for v in q])
-                return BlockResult(
-                    cmc_values_elliptical(ctx, radii, randsrc.sphere_matrix(gen, mb, d)),
-                    0, 0)
+                w = radii[:, None] * randsrc.sphere_matrix(gen, mb, d)
+                return BlockResult(cmc_values(ctx, w), 0, 0)
         return engine
 
     if kname == "ak":
-        symmetrize = not _identical_marginals(ctx.model)
+        symmetrize = not identical_marginals(ctx.model)
 
         def engine(gen, mb):
             normals = gen.standard_normal((mb, d))
@@ -434,29 +428,27 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind,
 
     if kname == "mak":
         def core(gen, j, count):
-            return mak_conditional_values(ctx, j, gen.standard_normal((count, d - 1)))
+            vals, ok = mak_conditional_values(ctx, j, gen.standard_normal((count, d - 1)))
+            return vals, ok, 0
 
-        return _stratified_engine(ctx, core, force_j)
+        return _stratified_engine(ctx, core)
 
     if kname == "zr":
-        def engine(gen, mb):
-            u_sphere = randsrc.sphere_matrix(gen, mb, d)
+        def core(gen, count):
+            u_sphere = randsrc.sphere_matrix(gen, count, d)
             vals, ok = zr_values(ctx, u_sphere @ ctx.factors.factors[0].T)
-            failures = 0
-            for _ in range(_REDRAW_ATTEMPTS):
-                if ok.all():
-                    break
-                bad = np.where(~ok)[0]
-                failures += bad.size
-                redo = randsrc.sphere_matrix(gen, bad.size, d)
-                vals[bad], ok[bad] = zr_values(ctx, redo @ ctx.factors.factors[0].T)
-            if not ok.all():
-                raise NumericalAbortError("root solver kept failing in zr")
-            return BlockResult(vals, failures, 0)
+            return vals, ok, 0
+
+        def engine(gen, mb):
+            return BlockResult(*_redrawn(partial(core, gen), mb, "in zr"))
 
         return engine
 
     if kname == "rn":
+        if kind.a != ctx.is_a:
+            raise ValidationError(
+                f"rn(a={kind.a:g}) needs a context tuned for a={kind.a:g}; this "
+                f"one is tuned for a={ctx.is_a:g}")
         if d == 1:
             # no sphere component to reweight: the conditional probability is
             # the marginal tail itself, with zero variance (and the
@@ -467,71 +459,15 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind,
                 return BlockResult(np.full(mb, z1), 0, 0)
 
             return engine
-        clamp_box = [0]
 
         def core(gen, j, count):
-            theta_j = randsrc.beta_symmetric(gen, kind.a, float(ctx.is_b[j]), count)
-            clipped = np.abs(theta_j) >= _THETA_CLAMP
-            clamp_box[0] += int(clipped.sum())
+            theta_j = randsrc.beta_symmetric(gen, ctx.is_a, float(ctx.is_b[j]), count)
+            clamped = int(np.sum(np.abs(theta_j) >= _THETA_CLAMP))
             theta_j = np.clip(theta_j, -_THETA_CLAMP, _THETA_CLAMP)
             rest = randsrc.sphere_matrix(gen, count, d - 1)
-            return rn_conditional_values(ctx, j, theta_j, rest)
+            vals, ok = rn_conditional_values(ctx, j, theta_j, rest)
+            return vals, ok, clamped
 
-        base = _stratified_engine(ctx, core, force_j)
-
-        def engine(gen, mb):
-            res = base(gen, mb)
-            clamps, clamp_box[0] = clamp_box[0], 0
-            return BlockResult(res.values, res.root_failures, clamps)
-
-        return engine
+        return _stratified_engine(ctx, core)
 
     raise ValidationError(f"unknown estimator kind {kname!r}")
-
-
-# ---------------------------------------------------------------------------
-# single-replication operations
-# ---------------------------------------------------------------------------
-
-def _single(engine, r: randsrc.RngStream) -> float:
-    return float(engine(r.generator(), 1).values[0])
-
-
-def cmc(ctx: ReplicationContext, r: randsrc.RngStream) -> float:
-    """One crude Monte Carlo replication: the indicator of S(u) > u."""
-    return _single(make_engine(ctx, EstimatorKind("cmc")), r)
-
-
-def ak_classic(ctx: ReplicationContext, r: randsrc.RngStream) -> float:
-    """One classical conditional replication (symmetrized if non-identical)."""
-    return _single(make_engine(ctx, EstimatorKind("ak")), r)
-
-
-def mak_partial(ctx: ReplicationContext, j: int, r: randsrc.RngStream) -> float:
-    """One conditional partial estimate Z_j (stratum pinned to j, unscaled)."""
-    return _single(make_engine(ctx, EstimatorKind("mak"), force_j=j), r)
-
-
-def mak(ctx: ReplicationContext, r: randsrc.RngStream) -> float:
-    """One stratified conditional replication of alpha(u)."""
-    return _single(make_engine(ctx, EstimatorKind("mak")), r)
-
-
-def zr_original(ctx: ReplicationContext, r: randsrc.RngStream) -> float:
-    """One radial conditional replication (no stratification, no weighting)."""
-    return _single(make_engine(ctx, EstimatorKind("zr")), r)
-
-
-def rn_partial(ctx: ReplicationContext, j: int, a: float,
-               r: randsrc.RngStream) -> float:
-    """One weighted conditional partial estimate for stratum j (unscaled)."""
-    if a != ctx.is_a:
-        ctx = make_context(ctx.model, ctx.u, is_a=a)
-    return _single(make_engine(ctx, EstimatorKind("rn", a=a), force_j=j), r)
-
-
-def rn(ctx: ReplicationContext, a: float, r: randsrc.RngStream) -> float:
-    """One stratified importance-sampled replication of alpha(u)."""
-    if a != ctx.is_a:
-        ctx = make_context(ctx.model, ctx.u, is_a=a)
-    return _single(make_engine(ctx, EstimatorKind("rn", a=a)), r)

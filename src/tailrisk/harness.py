@@ -21,7 +21,8 @@ import numpy as np
 
 from . import randsrc
 from .errors import NumericalAbortError, ValidationError
-from .estimators import EstimatorKind, ReplicationContext, make_context, make_engine
+from .estimators import (EstimatorKind, ReplicationContext, identical_marginals,
+                         make_context, make_engine)
 from .model import ModelSpec
 
 _FAILURE_BUDGET = 1e-6          # tolerated root-solve failure rate per run
@@ -88,16 +89,19 @@ class _Moments:
 
 
 def resolve_threads(threads) -> int:
-    """Map the --threads setting ('auto', int, None) onto a worker count."""
-    if threads in (None, "", "auto"):
-        env = os.environ.get("TAILRISK_THREADS", "").strip()
-        if env and env != "auto":
-            return max(1, int(env))
-        return max(1, min(os.cpu_count() or 1, 8))
-    n = int(threads)
-    if n < 1:
-        raise ValidationError("threads must be >= 1 (or 'auto')")
-    return n
+    """Map the --threads setting (a count, 'auto' or None) onto a worker count.
+
+    'auto' and None defer to ``TAILRISK_THREADS``, parsed the same way, and
+    without it to the core count (at most 8).
+    """
+    text = "" if threads is None else str(threads).strip()
+    if text in ("", "auto"):
+        text = os.environ.get("TAILRISK_THREADS", "").strip()
+        if text in ("", "auto"):
+            return max(1, min(os.cpu_count() or 1, 8))
+    if not (text.isdecimal() and int(text) >= 1):
+        raise ValidationError(f"threads must be an integer >= 1 or 'auto', got {text!r}")
+    return int(text)
 
 
 def run_replications(engine, n: int, seed: int, threads: int = 1,
@@ -151,10 +155,12 @@ def run(model: ModelSpec, u: float, kind: EstimatorKind | str, n: int,
     mean, var = moments.mean_var()
     std = math.sqrt(var)
     flags = []
-    identical = bool(np.all(model.lam == model.lam[0])
-                     and np.all(model.beta == model.beta[0]))
-    if kind.name == "ak" and not identical:
-        flags.append("ak-symmetrized-heuristic")
+    m = ctx.model
+    if kind.name == "ak":
+        if not identical_marginals(m):
+            flags.append("ak-symmetrized-heuristic")
+        if not (m.radial.is_gaussian and np.array_equal(m.sigma, np.eye(m.d))):
+            flags.append("ak-biased-dependent-risks")
     if moments.clamped:
         flags.append(f"theta-clamped:{moments.clamped}")
     if moments.failures:

@@ -1,4 +1,4 @@
-"""Correlation-matrix validation and per-index pivoted Cholesky factors.
+"""Correlation-matrix validation and per-index Cholesky factors.
 
 For every risk index j the estimators need a square root A of the
 correlation matrix in which risk j is driven by a single standard-normal
@@ -46,19 +46,13 @@ class FactorizationSet:
     """All d per-index factors of one correlation matrix.
 
     ``factors[j]`` is the d x d matrix A^(j) with A^(j) (A^(j))^T = sigma and
-    row j equal to the unit vector in column ``pivot[j]``; the construction
-    always places the driver in column 0.  ``factors[0]`` coincides with the
-    plain lower-triangular Cholesky factor.  Immutable; share freely across
-    workers.
+    row j equal to the unit vector in column 0, the driver coordinate.
+    ``factors[0]`` coincides with the plain lower-triangular Cholesky factor.
+    Immutable; share freely across workers.
     """
 
     sigma: np.ndarray
     factors: np.ndarray        # shape (d, d, d): factors[j] = A^(j)
-    pivot: np.ndarray          # driver column per index (all zeros here)
-
-    @property
-    def d(self) -> int:
-        return self.sigma.shape[0]
 
 
 def _cholesky_named(sigma: np.ndarray) -> np.ndarray:
@@ -95,16 +89,4 @@ def factorize_all(sigma: np.ndarray) -> FactorizationSet:
         # permuted variable a is original perm[a]; row of original i is row
         # perm[i] of L (perm is its own inverse)
         factors[j] = L[perm, :]
-    return FactorizationSet(sigma=sigma, factors=factors,
-                            pivot=np.zeros(d, dtype=np.intp))
-
-
-def transform(A: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Map driver coordinates to correlated coordinates: returns A @ n."""
-    A = np.asarray(A, dtype=float)
-    n = np.asarray(n, dtype=float)
-    if A.shape[1] != n.shape[-1]:
-        raise ValidationError(
-            f"dimension mismatch: matrix has {A.shape[1]} columns, vector has "
-            f"{n.shape[-1]} entries")
-    return A @ n
+    return FactorizationSet(sigma=sigma, factors=factors)

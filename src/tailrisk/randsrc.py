@@ -45,15 +45,6 @@ def block_stream(seed: int, block: int) -> RngStream:
     return RngStream(seed=seed, stream=block)
 
 
-# ---------------------------------------------------------------------------
-# batched draws (the shapes the estimator engines consume)
-# ---------------------------------------------------------------------------
-
-def normal_matrix(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
-    """``m`` independent standard-normal vectors of dimension ``d``."""
-    return gen.standard_normal((m, d))
-
-
 def sphere_matrix(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
     """``m`` points uniform on the unit sphere of R^d (normalized Gaussians)."""
     if d < 1:
@@ -93,58 +84,15 @@ def beta_symmetric(gen: np.random.Generator, a: float, b: float,
     return 2.0 * gen.beta(a, b, size=m) - 1.0
 
 
-# ---------------------------------------------------------------------------
-# single-draw operations
-# ---------------------------------------------------------------------------
-
-def normal_vector(r: RngStream, d: int) -> np.ndarray:
-    """One vector of ``d`` i.i.d. standard normals."""
-    if d < 1:
-        raise ValidationError("dimension must be >= 1")
-    return normal_matrix(r.generator(), 1, d)[0]
-
-
-def sphere_uniform(r: RngStream, d: int) -> np.ndarray:
-    """One point uniform on the unit sphere of R^d (d >= 2)."""
-    if d < 2:
-        raise ValidationError("sphere_uniform requires d >= 2")
-    return sphere_matrix(r.generator(), 1, d)[0]
-
-
-def stratification_index(r: RngStream, weights: np.ndarray) -> int:
-    """One categorical index drawn proportionally to ``weights``."""
-    return int(stratified_indices(r.generator(), 1, weights)[0])
-
-
-def sphere_component_is(r: RngStream, a: float, b: float) -> float:
-    """One draw from the importance density f_IS(a, b, .) on (-1, 1)."""
-    return float(beta_symmetric(r.generator(), a, b, 1)[0])
-
-
-def conditional_sphere_rest(r: RngStream, d: int, theta_j: float) -> np.ndarray:
-    """A sphere point with the driver coordinate (slot 0) pinned to ``theta_j``.
-
-    The remaining ``d - 1`` coordinates follow the true conditional law of a
-    uniform sphere point given its first coordinate: sqrt(1 - theta_j^2) times
-    a uniform direction on the sphere of R^(d-1).
-    """
-    if d < 2:
-        raise ValidationError("conditional_sphere_rest requires d >= 2")
-    if not -1.0 < theta_j < 1.0:
-        raise ValidationError(f"theta_j must lie in (-1, 1), got {theta_j}")
-    rest = sphere_matrix(r.generator(), 1, d - 1)[0]
-    out = np.empty(d)
-    out[0] = theta_j
-    out[1:] = np.sqrt(1.0 - theta_j * theta_j) * rest
-    return out
-
-
 def assemble_sphere_with_driver(theta_j: np.ndarray,
                                 rest: np.ndarray) -> np.ndarray:
-    """Batched version of :func:`conditional_sphere_rest` given the rest draws.
+    """Sphere points with the driver coordinate (slot 0) pinned to ``theta_j``.
 
     ``theta_j``: (m,), ``rest``: (m, d-1) unit rows.  Returns (m, d) unit rows
-    with slot 0 equal to ``theta_j``.
+    with slot 0 equal to ``theta_j``.  For ``rest`` uniform on the sphere of
+    R^(d-1), the remaining coordinates follow the true conditional law of a
+    uniform sphere point given its first coordinate: sqrt(1 - theta_j^2)
+    times a uniform direction on the sphere of R^(d-1).
     """
     m = theta_j.shape[0]
     out = np.empty((m, rest.shape[1] + 1))

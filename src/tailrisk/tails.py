@@ -143,23 +143,6 @@ def make_radial(kind: str, **params) -> RadialLaw:
     return builder(params)
 
 
-def mean_excess(law: RadialLaw, x: float) -> float:
-    """E[R - x | R > x], by quadrature of the tail (diagnostic for nu)."""
-    tx = float(law.tail(x))
-    if tx <= 0.0:
-        raise ValidationError(f"tail vanishes at x={x}; mean excess undefined")
-    val, _ = integrate.quad(lambda t: float(law.tail(t)), x, np.inf,
-                            epsrel=_QUAD_RTOL, limit=200)
-    return val / tx
-
-
-def nu_chi(d: int, x) -> np.ndarray:
-    """Scaling function of the chi-root law: 1/x."""
-    if np.any(np.asarray(x) <= 0):
-        raise ValidationError("nu_chi needs x > 0")
-    return 1.0 / np.asarray(x, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # sphere-component densities
 # ---------------------------------------------------------------------------
@@ -296,7 +279,7 @@ def asymptotic_alpha(m: "ModelSpec", u: float) -> AsymptoticAlpha:
 
 
 # ---------------------------------------------------------------------------
-# scaling machinery: estar, xi and the importance-sampling tuning b
+# scaling machinery: estar and the importance-sampling tuning b
 # ---------------------------------------------------------------------------
 
 def estar_single(u: float, lam: float, bg: float, radial: RadialLaw) -> float:
@@ -322,32 +305,6 @@ def estar_hazard_single(u: float, lam: float, bg: float) -> float:
         raise ValidationError(f"estar needs u > lambda (u={u:g}, lambda={lam:g})")
     v = np.log(u / lam) / bg          # log of (u/lam)^(1/bg)
     return float(u * v * bg * np.exp(-2.0 * v))
-
-
-def estar(m: "ModelSpec", i: int, u: float) -> float:
-    """estar for risk ``i`` of the model (scaling-function choice)."""
-    return estar_single(u, float(m.lam[i]), float(m.beta[i] * m.gamma), m.radial)
-
-
-def xi(m: "ModelSpec", i: int, u: float) -> float:
-    """estar(u) / u; tends to zero as the threshold grows."""
-    return estar(m, i, u) / u
-
-
-def scaling_e(u, radial: RadialLaw):
-    """Auxiliary function e(u) = u * nu(log u) of exp(R)."""
-    u = np.asarray(u, dtype=float)
-    return u * radial.nu(np.log(u))
-
-
-def beta_ratio_b(u: float, lam: float, bg: float, radial: RadialLaw) -> float:
-    """The ratio form log(u) / log(u / estar(u)) of the IS shape parameter.
-
-    Diverges (or goes negative) whenever estar(u) >= u, which happens at
-    moderate thresholds; kept as a reference quantity, not used for tuning.
-    """
-    es = estar_single(u, lam, bg, radial)
-    return float(np.log(u) / np.log(u / es))
 
 
 def is_tuning_b(u: float, lam: float, bg: float, radial: RadialLaw,

@@ -13,7 +13,8 @@ import pytest
 from scipy import integrate
 
 import conftest
-from tailrisk.estimators import EstimatorKind, make_context, make_engine
+from tailrisk.estimators import (EstimatorKind, make_context, make_engine,
+                                 mak_conditional_values)
 from tailrisk.harness import run
 from tailrisk.linalg import factorize_all
 from tailrisk.model import equicorrelation, reference_model
@@ -162,8 +163,8 @@ def test_criterion_6_stratification_identity(d2_oracle):
     right = 0.0
     right_var = 0.0
     for j in range(2):
-        eng = make_engine(ctx, EstimatorKind("mak"), force_j=j)
-        vals = eng(RngStream(SEED + 50 + j, 0).generator(), n).values
+        gen = RngStream(SEED + 50 + j, 0).generator()
+        vals, _ = mak_conditional_values(ctx, j, gen.standard_normal((n, 1)))
         sq = vals ** 2
         right += ctx.strat_total * sq.mean() / ctx.strat_weights[j]
         right_var += (ctx.strat_total / ctx.strat_weights[j]) ** 2 \

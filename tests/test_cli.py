@@ -76,6 +76,15 @@ def test_non_positive_definite_exits_one(tmp_path, capsys):
     assert "eigenvalue" in capsys.readouterr().err
 
 
+def test_bad_thread_count_exits_one(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, threads="auto")
+    monkeypatch.setenv("TAILRISK_THREADS", "two")
+    assert main(["run", "--config", cfg]) == 1
+    assert "threads" in capsys.readouterr().err
+    monkeypatch.setenv("TAILRISK_THREADS", "0")
+    assert main(["run", "--config", cfg]) == 1
+
+
 def test_missing_config_exits_one(capsys):
     assert main(["run", "--config", "/does/not/exist.json"]) == 1
     assert "not found" in capsys.readouterr().err

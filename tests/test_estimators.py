@@ -13,6 +13,7 @@ from tailrisk.estimators import (EstimatorKind, ak_values,
                                  make_context, make_engine,
                                  mak_conditional_values, rn_conditional_values,
                                  zr_values)
+from tailrisk.harness import run
 from tailrisk.model import LogNormalParams, ModelSpec, from_lognormal
 from tailrisk.randsrc import RngStream
 from tailrisk.tails import chi_radial, is_density, sphere_density
@@ -112,8 +113,8 @@ def test_ak_hand_value():
 
 def test_mak_partial_single_risk_deterministic():
     ctx = make_context(one_risk_model(), 10.0)
-    eng = make_engine(ctx, EstimatorKind("mak"), force_j=0)
-    vals = collect(eng, 100)
+    vals, ok = mak_conditional_values(ctx, 0, np.empty((100, 0)))
+    assert ok.all()
     assert np.allclose(vals, phi_bar(math.log(10.0)), rtol=1e-12)
 
 
@@ -202,8 +203,9 @@ def test_mak_decomposition_sums_to_alpha():
     var = 0.0
     n = 300_000
     for j in range(2):
-        vals = collect(make_engine(ctx, EstimatorKind("mak"), force_j=j),
-                       n, seed=30 + j)
+        gen = RngStream(30 + j, 0).generator()
+        vals, ok = mak_conditional_values(ctx, j, gen.standard_normal((n, 1)))
+        assert ok.all()
         total += vals.mean()
         var += vals.var(ddof=1) / n
     cmc = collect(make_engine(ctx, EstimatorKind("cmc")), 3_000_000, seed=77)
@@ -326,15 +328,28 @@ def test_ak_symmetrized_matches_mak_on_independent_bench():
     # independent non-identical marginals: the randomized conditioning index
     # keeps the conditional estimator unbiased, so it must agree with the
     # stratified conditional estimator
-    from tailrisk.harness import run
     from tailrisk.model import reference_model
     m = reference_model(0.0)
     u = 20000.0
     ak = run(m, u, "ak", 600_000, seed=21)
     mak = run(m, u, "mak", 100_000, seed=22)
     assert "ak-symmetrized-heuristic" in ak.flags
+    assert "ak-biased-dependent-risks" not in ak.flags
     se = math.hypot(ak.se_of_mean, mak.se_of_mean)
     assert abs(ak.mean - mak.mean) < 4 * se
+
+
+def test_ak_flagged_on_dependent_risks():
+    # ak draws independent normals: correlated risks and non-Gaussian radial
+    # laws (dependent even at sigma = I) make it biased, so the run says so
+    from tailrisk.model import reference_model
+    from tailrisk.tails import exp_power_radial
+    m0 = two_risk_model()
+    elliptical = ModelSpec(lam=m0.lam, beta=m0.beta, gamma=1.0, sigma=m0.sigma,
+                           radial=exp_power_radial(1.5))
+    for m in (reference_model(0.4), elliptical):
+        assert "ak-biased-dependent-risks" in run(m, 20.0, "ak", 2, seed=1).flags
+    assert run(m0, 20.0, "ak", 2, seed=1).flags == ()
 
 
 def test_zr_single_risk_unbiased():
@@ -381,24 +396,20 @@ def test_generic_radial_zr_matches_cmc():
 
 
 # ---------------------------------------------------------------------------
-# single-replication operations and determinism
+# engine plumbing: tuning checks, redraws and clamps
 # ---------------------------------------------------------------------------
 
-def test_single_rep_ops_reproduce():
+def test_rn_rejects_context_tuned_for_another_a():
     m = two_risk_model(rho=0.4)
-    ctx = make_context(m, 12.0)
-    r = RngStream(seed=77, stream=3)
-    assert est.mak(ctx, r) == est.mak(ctx, r)
-    assert est.cmc(ctx, r) in (0.0, 1.0)
-    assert est.zr_original(ctx, r) == est.zr_original(ctx, r)
-    assert est.rn(ctx, 10.0, r) == est.rn(ctx, 10.0, r)
-    assert est.ak_classic(ctx, r) == est.ak_classic(ctx, r)
-    zj = est.mak_partial(ctx, 1, r)
-    assert 0.0 <= zj <= 1.0
-    assert est.rn_partial(ctx, 0, 10.0, r) >= 0.0
+    u = 12.0
+    with pytest.raises(ValidationError, match="a=5"):
+        run(m, u, "rn(a=5)", 100, seed=1, ctx=make_context(m, u))
+    assert run(m, u, "rn(a=5)", 100, seed=1,
+               ctx=make_context(m, u, is_a=5.0)).mean > 0.0
 
 
-def test_root_failure_redraw_and_abort(monkeypatch):
+@pytest.mark.parametrize("kind", ["mak", "zr", "rn"])
+def test_root_failure_redraw_and_abort(monkeypatch, kind):
     m = two_risk_model()
     ctx = make_context(m, 10.0)
     real = est.exceedance_bounds
@@ -413,9 +424,9 @@ def test_root_failure_redraw_and_abort(monkeypatch):
         return lo, hi, ok
 
     monkeypatch.setattr(est, "exceedance_bounds", flaky)
-    eng = make_engine(ctx, EstimatorKind("mak"))
+    eng = make_engine(ctx, EstimatorKind(kind))
     res = eng(RngStream(5, 0).generator(), 64)
-    assert res.root_failures >= 1
+    assert res.root_failures == 1
     assert np.all(res.values >= 0)
 
     def always_bad(logc, slopes, level):
@@ -424,4 +435,18 @@ def test_root_failure_redraw_and_abort(monkeypatch):
 
     monkeypatch.setattr(est, "exceedance_bounds", always_bad)
     with pytest.raises(NumericalAbortError):
-        make_engine(ctx, EstimatorKind("mak"))(RngStream(5, 0).generator(), 8)
+        make_engine(ctx, EstimatorKind(kind))(RngStream(5, 0).generator(), 8)
+
+
+def test_theta_clamps_counted_for_any_thread_count():
+    # b = 0.05 piles the f_IS mass against theta = 1, so draws hit the clamp;
+    # every block counts its own clamps, so the total is the same at any
+    # worker count
+    m = two_risk_model(rho=0.4)
+    ctx = make_context(m, 12.0)
+    ctx = dataclasses.replace(ctx, is_b=np.full(2, 0.05))
+    flags = [run(m, 12.0, "rn", 4 * 4096, seed=3, threads=t, ctx=ctx).flags
+             for t in (1, 2)]
+    clamps = [f for f in flags[0] if f.startswith("theta-clamped:")]
+    assert len(clamps) == 1 and int(clamps[0].split(":")[1]) > 0
+    assert flags[0] == flags[1]

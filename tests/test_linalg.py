@@ -1,10 +1,10 @@
-"""Per-index pivoted Cholesky factors and their contracts."""
+"""Per-index Cholesky factors and their contracts."""
 
 import numpy as np
 import pytest
 
 from tailrisk.errors import ValidationError
-from tailrisk.linalg import factorize_all, transform, validate_correlation
+from tailrisk.linalg import factorize_all, validate_correlation
 from tailrisk.model import equicorrelation
 
 
@@ -15,7 +15,7 @@ def test_identity_factorizes_to_permutation():
             A = fs.factors[j]
             assert np.allclose(np.abs(A) @ np.abs(A).T, np.eye(d))
             row = A[j]
-            assert row[fs.pivot[j]] == 1.0
+            assert row[0] == 1.0
             assert np.count_nonzero(row) == 1
 
 
@@ -36,23 +36,23 @@ def test_factorization_invariants_d10(rho):
     for j in range(10):
         A = fs.factors[j]
         assert np.max(np.abs(A @ A.T - sigma)) < 1e-10
-        # row j is a driver unit vector
-        assert A[j, fs.pivot[j]] == pytest.approx(1.0)
+        # row j is the unit vector in driver column 0
+        assert A[j, 0] == pytest.approx(1.0)
         assert np.count_nonzero(np.abs(A[j]) > 1e-14) == 1
         # unit diagonal of sigma forces unit row norms
         assert np.allclose(np.linalg.norm(A, axis=1), 1.0, atol=1e-12)
 
 
 def test_transform_identity_and_hand_product():
-    n = np.array([0.3, -1.2, 2.0])
-    assert np.allclose(transform(np.eye(3), n), n)
+    # driver coordinates map to correlated ones as rows w -> w A^T, the way
+    # the estimators apply the factors
+    n = np.array([[0.3, -1.2, 2.0]])
+    assert np.allclose(n @ factorize_all(np.eye(3)).factors[0].T, n)
     sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
     A = factorize_all(sigma).factors[1]
-    y = transform(A, np.array([0.5, -1.0]))
-    assert y[1] == pytest.approx(0.5)                 # row-2 passthrough
-    assert y[0] == pytest.approx(0.9 * 0.5 + np.sqrt(0.19) * -1.0)
-    with pytest.raises(ValidationError):
-        transform(np.eye(3), np.array([1.0, 2.0]))
+    y = np.array([[0.5, -1.0]]) @ A.T
+    assert y[0, 1] == pytest.approx(0.5)              # row-2 passthrough
+    assert y[0, 0] == pytest.approx(0.9 * 0.5 + np.sqrt(0.19) * -1.0)
 
 
 def test_transform_preserves_marginals_and_covariance():

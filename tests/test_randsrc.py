@@ -8,11 +8,9 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from tailrisk.errors import ValidationError
-from tailrisk.randsrc import (RngStream, beta_symmetric, block_stream,
-                              conditional_sphere_rest, normal_matrix,
-                              normal_vector, sphere_component_is,
-                              sphere_matrix, sphere_uniform,
-                              stratification_index, stratified_indices)
+from tailrisk.randsrc import (RngStream, assemble_sphere_with_driver,
+                              beta_symmetric, block_stream, sphere_matrix,
+                              stratified_indices)
 
 
 def test_streams_reproduce_bit_for_bit():
@@ -26,18 +24,18 @@ def test_streams_reproduce_bit_for_bit():
 
 
 def test_normal_vector_moments_and_ks():
-    gen = RngStream(seed=5, stream=0).generator()
-    x = normal_matrix(gen, 1_000_000, 1)[:, 0]
+    # the engines' normal draws: standard_normal on a block stream
+    gen = block_stream(5, 0).generator()
+    x = gen.standard_normal((1_000_000, 1))[:, 0]
     assert abs(x.mean()) < 4e-3
     assert abs(x.var(ddof=1) - 1.0) < 0.01
     # Kolmogorov-Smirnov against the normal cdf on a smaller sample
-    y = np.sort(normal_matrix(gen, 100_000, 1)[:, 0])
+    y = np.sort(gen.standard_normal((100_000, 1))[:, 0])
     n = y.size
     grid = (np.arange(1, n + 1)) / n
     ks = np.max(np.maximum(np.abs(grid - ndtr(y)),
                            np.abs((np.arange(n)) / n - ndtr(y))))
     assert ks < 1.95 / math.sqrt(n)
-    assert normal_vector(RngStream(1, 2), 4).shape == (4,)
 
 
 def test_sphere_uniform_norm_and_moments():
@@ -48,21 +46,22 @@ def test_sphere_uniform_norm_and_moments():
     se = np.sqrt(1.0 / 10 / u.shape[0])
     assert abs(u[:, 0].mean()) < 4 * se
     assert abs((u ** 2)[:, 0].mean() - 0.1) < 0.001
-    assert sphere_uniform(RngStream(1, 1), 3).shape == (3,)
+    assert sphere_matrix(RngStream(1, 1).generator(), 1, 3).shape == (1, 3)
     with pytest.raises(ValidationError):
-        sphere_uniform(RngStream(1, 1), 1)
+        sphere_matrix(RngStream(1, 1).generator(), 1, 0)
 
 
 def test_stratification_index_degenerate_and_balanced():
-    assert stratification_index(RngStream(3, 0), np.array([1.0, 0.0, 0.0])) == 0
+    gen = RngStream(seed=3, stream=0).generator()
+    assert np.all(stratified_indices(gen, 1000, np.array([1.0, 0.0, 0.0])) == 0)
     gen = RngStream(seed=9, stream=0).generator()
     idx = stratified_indices(gen, 1_000_000, np.array([1.0, 1.0]))
     freq = np.mean(idx == 0)
     assert abs(freq - 0.5) < 4 * 0.5 / 1000.0
     with pytest.raises(ValidationError):
-        stratification_index(RngStream(3, 0), np.array([0.0, 0.0]))
+        stratified_indices(gen, 1, np.array([0.0, 0.0]))
     with pytest.raises(ValidationError):
-        stratification_index(RngStream(3, 0), np.array([-1.0, 2.0]))
+        stratified_indices(gen, 1, np.array([-1.0, 2.0]))
 
 
 def test_stratification_matches_bench_weights(bench_model):
@@ -107,23 +106,28 @@ def test_sphere_component_is_beta22_variance():
     x = beta_symmetric(gen, 2.0, 2.0, 1_000_000)
     assert abs(x.mean()) < 4 * math.sqrt(0.2 / x.size)
     assert x.var(ddof=1) == pytest.approx(0.2, rel=0.02)
-    assert -1.0 < sphere_component_is(RngStream(2, 2), 2.0, 2.0) < 1.0
+    assert np.all((x > -1) & (x < 1))
+    with pytest.raises(ValidationError):
+        beta_symmetric(gen, 0.0, 2.0, 1)
 
 
 def test_conditional_sphere_rest_two_dim():
-    vals = [conditional_sphere_rest(RngStream(20, k), 2, 0.0)[1]
-            for k in range(400)]
+    gen = RngStream(seed=20, stream=0).generator()
+    rest = sphere_matrix(gen, 400, 1)
+    vals = assemble_sphere_with_driver(np.zeros(400), rest)[:, 1]
     assert set(np.round(vals, 12)) == {-1.0, 1.0}
     # unbiased sign split
     assert abs(np.mean(vals)) < 4 / math.sqrt(len(vals))
 
 
 def test_conditional_sphere_rest_norm_and_domain():
-    out = conditional_sphere_rest(RngStream(21, 0), 6, 0.73)
-    assert out[0] == 0.73
-    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValidationError):
-        conditional_sphere_rest(RngStream(21, 0), 6, 1.0)
+    gen = RngStream(seed=21, stream=0).generator()
+    theta = np.array([0.73, -0.2, 0.0, 1.0])
+    out = assemble_sphere_with_driver(theta, sphere_matrix(gen, 4, 5))
+    assert np.array_equal(out[:, 0], theta)
+    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+    # at the pole the rest of the point collapses to zero
+    assert np.all(out[3, 1:] == 0.0)
 
 
 def test_conditional_composition_recovers_uniform():
@@ -132,10 +136,7 @@ def test_conditional_composition_recovers_uniform():
     gen = RngStream(seed=22, stream=0).generator()
     d, n = 5, 100_000
     theta = beta_symmetric(gen, (d - 1) / 2.0, (d - 1) / 2.0, n)
-    rest = sphere_matrix(gen, n, d - 1)
-    assembled = np.empty((n, d))
-    assembled[:, 0] = theta
-    assembled[:, 1:] = np.sqrt(1 - theta ** 2)[:, None] * rest
+    assembled = assemble_sphere_with_driver(theta, sphere_matrix(gen, n, d - 1))
     direct = sphere_matrix(gen, n, d)
     for k in range(d):
         a = np.sort(assembled[:, k])

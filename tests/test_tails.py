@@ -9,16 +9,36 @@ from scipy import integrate
 
 from tailrisk import reference_model
 from tailrisk.errors import ThresholdTooExtremeError, ValidationError
-from tailrisk.tails import (asymptotic_alpha, beta_ratio_b, chi_radial,
-                            estar, estar_hazard_single, estar_single,
-                            exp_power_radial, is_density, is_tuning_b,
-                            is_tuning_b_vector, make_radial, marginal_tail,
-                            marginal_tail_single, marginal_tails, mean_excess,
-                            normal_tail, nu_chi, scaling_e, sphere_density,
+from tailrisk.tails import (asymptotic_alpha, chi_radial, estar_hazard_single,
+                            estar_single, exp_power_radial, is_density,
+                            is_tuning_b, is_tuning_b_vector, make_radial,
+                            marginal_tail, marginal_tail_single,
+                            marginal_tails, normal_tail, sphere_density,
                             sphere_expectation)
 from conftest import two_risk_model
 
 mp.mp.dps = 30
+
+
+# diagnostics of the scaling function nu, kept here because only the tests
+# use them
+
+def mean_excess(law, x):
+    """E[R - x | R > x], by quadrature of the tail."""
+    val, _ = integrate.quad(lambda t: float(law.tail(t)), x, np.inf,
+                            epsrel=1e-11, limit=200)
+    return val / float(law.tail(x))
+
+
+def scaling_e(u, law):
+    """Auxiliary function e(u) = u * nu(log u) of exp(R)."""
+    u = np.asarray(u, dtype=float)
+    return u * law.nu(np.log(u))
+
+
+def beta_ratio_b(u, lam, bg, law):
+    """The ratio form log(u) / log(u / estar(u)) of the IS shape parameter."""
+    return float(np.log(u) / np.log(u / estar_single(u, lam, bg, law)))
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +96,8 @@ def test_chi_radial_gmda_ratio():
 
 
 def test_nu_chi_and_mean_excess():
-    assert float(nu_chi(10, 10.0)) == pytest.approx(0.1)
     law = chi_radial(10)
+    assert float(law.nu(10.0)) == pytest.approx(0.1)
     me = mean_excess(law, 10.0)
     assert me == pytest.approx(0.1, rel=0.15)
     # sharper GMDA spot check out at x = 20
@@ -301,7 +321,9 @@ def test_beta_ratio_reference_value():
 
 
 def test_xi_tends_to_zero(bench_model):
-    vals = [estar(bench_model, 9, u) / u for u in (1e3, 1e4, 1e6, 1e8)]
+    lam, bg = float(bench_model.lam[9]), float(bench_model.bg[9])
+    vals = [estar_single(u, lam, bg, bench_model.radial) / u
+            for u in (1e3, 1e4, 1e6, 1e8)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
