@@ -6,10 +6,10 @@ unbiased sample of alpha(u):
 * ``cmc``  - crude Monte Carlo indicator.
 * ``ak``   - the classical conditional estimator for i.i.d. risks (applied to
   non-identical marginals through a random-permutation symmetrization, which
-  is unbiased for independent risks and heuristic otherwise; flagged).  It
-  draws independent normals, so it is biased whenever the risks are
-  dependent: a correlation other than the identity, or a non-Gaussian
-  radial law (flagged too).
+  is unbiased for independent risks and heuristic otherwise).  It draws
+  independent normals, so it is biased whenever the risks are dependent: a
+  correlation other than the identity, or a non-Gaussian radial law
+  (flagged, and flagged as heuristic too when the marginals differ).
 * ``mak``  - stratified conditional estimator: condition on all normal
   coordinates except the one driving the selected risk, and integrate the
   remaining one-dimensional Gaussian over the event

@@ -148,6 +148,9 @@ def run(model: ModelSpec, u: float, kind: EstimatorKind | str, n: int,
         raise ValidationError("need n >= 2 replications for a variance estimate")
     if ctx is None:
         ctx = make_context(model, u, is_a=kind.a)
+    elif ctx.model is not model or ctx.u != float(u):
+        raise ValidationError(
+            f"ctx was built for another model or threshold (ctx.u={ctx.u:g}, u={u:g})")
     engine = make_engine(ctx, kind)
     t0 = time.perf_counter()
     moments = run_replications(engine, n, seed, threads=threads)
@@ -156,11 +159,13 @@ def run(model: ModelSpec, u: float, kind: EstimatorKind | str, n: int,
     std = math.sqrt(var)
     flags = []
     m = ctx.model
-    if kind.name == "ak":
+    if kind.name == "ak" and not (m.radial.is_gaussian
+                                  and np.array_equal(m.sigma, np.eye(m.d))):
+        # the symmetrized estimator is unbiased for independent risks; only
+        # under dependence is it a heuristic on top of being biased
         if not identical_marginals(m):
             flags.append("ak-symmetrized-heuristic")
-        if not (m.radial.is_gaussian and np.array_equal(m.sigma, np.eye(m.d))):
-            flags.append("ak-biased-dependent-risks")
+        flags.append("ak-biased-dependent-risks")
     if moments.clamped:
         flags.append(f"theta-clamped:{moments.clamped}")
     if moments.failures:

@@ -16,6 +16,18 @@ solver cannot overflow no matter how large the level or the coefficients;
 the "rescale and retry" failure mode of a linear-space evaluation does not
 arise.  Terms with zero slope are folded into the level before solving, which
 keeps the remaining sum strictly monotone or strictly convex.
+
+Each boundary is an outside-in Newton iteration on the convex function
+``f(t) = log h(t) - log level``.  The right boundary starts where the first
+positive-slope term alone reaches the level, so ``f >= 0`` there and at every
+larger ``t``.  From a point with ``f >= 0`` and ``f' > 0`` the tangent lies
+below ``f``, so each Newton step moves left, keeps ``f >= 0`` and never
+passes the root: no bracket or bisection is needed.  An iterate with
+``f' <= 0`` while ``f > 0`` lies left of the minimizer with the whole ray
+from the start above the level, so the minimum is above the level and the
+whole line exceeds.  The left boundary is the same solve with the slopes
+negated.  A row with a single active term starts on its exact root and
+stops there.
 """
 
 from __future__ import annotations
@@ -28,22 +40,12 @@ import numpy as np
 from .errors import RootFindError, ValidationError
 
 _X_RTOL = 1e-13          # relative stop on the Newton step
-_F_ATOL = 1e-13          # absolute stop on log h(x) - log level
+_F_ATOL = 1e-13          # stop once log h(x) - log level is at most this
 _MAX_ITER = 200
 
 
-# ---------------------------------------------------------------------------
-# log-sum-exp evaluations (batched; rows are instances)
-# ---------------------------------------------------------------------------
-
-def _lse(logc, s, t):
-    z = logc + s * t[:, None]
-    m = np.max(z, axis=1)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    return safe + np.log(np.sum(np.exp(z - safe[:, None]), axis=1))
-
-
 def _lse_grad(logc, s, t):
+    """Row-wise log h(t) and its slope, for rows of log-coefficients and slopes."""
     z = logc + s * t[:, None]
     m = np.max(z, axis=1)
     safe = np.where(np.isfinite(m), m, 0.0)
@@ -54,63 +56,41 @@ def _lse_grad(logc, s, t):
     return val, grad
 
 
-def _lse_grad_curv(logc, s, t):
-    z = logc + s * t[:, None]
-    m = np.max(z, axis=1)
-    w = np.exp(z - np.where(np.isfinite(m), m, 0.0)[:, None])
-    w /= np.sum(w, axis=1)[:, None]
-    g = np.sum(w * s, axis=1)
-    curv = np.sum(w * s * s, axis=1) - g * g
-    return g, curv
+def _right_roots(logc, s, level):
+    """Outside-in Newton for the right boundary of {lse(logc + s*t) > level}.
 
-
-def _solve_level(logc, s, level, lo, hi, sign):
-    """Root of lse(logc + s*t) = level inside the bracket [lo, hi].
-
-    ``sign`` is the known orientation: +1 when the function increases through
-    the root on this bracket, -1 when it decreases.  (Inferring it from the
-    bracket endpoints is unsafe: a near-degenerate slope can make the
-    endpoint residual indistinguishable from zero.)  Safeguarded Newton:
-    steps leaving the current bracket fall back to bisection.  Returns
-    (root, converged_mask).
+    Every row needs an active term (finite ``logc``) with a positive slope.
+    Returns (root, whole, ok): ``whole`` marks rows that exceed the level on
+    the whole line (their ``root`` is meaningless); ``ok`` is False on rows
+    whose iteration failed (a non-finite step or ``_MAX_ITER`` reached).
+    Only rows still iterating are evaluated at each step.
     """
-    t = 0.5 * (lo + hi)
-    ok = np.zeros(t.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (level[:, None] - logc) / s
+    t = np.min(np.where(np.isfinite(logc) & (s > 0.0), cross, np.inf), axis=1)
+    root = t.copy()
+    whole = np.zeros(t.size, dtype=bool)
+    ok = np.zeros(t.size, dtype=bool)
+    idx = np.arange(t.size)
     for _ in range(_MAX_ITER):
-        val, grad = _lse_grad(logc, s, t)
+        val, g = _lse_grad(logc, s, t)
         f = val - level
-        active = ~ok
-        shrink_lo = ((f * sign) < 0) & active
-        lo = np.where(shrink_lo, t, lo)
-        hi = np.where(active & ~shrink_lo, t, hi)
+        fin = np.isfinite(f)
+        turn = g <= 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            tn = t - f / grad
-        inner = np.minimum(lo, hi)
-        outer = np.maximum(lo, hi)
-        bad = ~np.isfinite(tn) | (tn <= inner) | (tn >= outer)
-        tn = np.where(bad, 0.5 * (lo + hi), tn)
-        at_root = np.abs(f) <= _F_ATOL
-        tn = np.where(at_root, t, tn)        # residual negligible: stay put
-        ok |= active & (at_root | (np.abs(tn - t) <= _X_RTOL * (1.0 + np.abs(tn))))
-        t = np.where(active, tn, t)          # converged rows freeze
-        if np.all(ok):
+            tn = t - f / g
+        # f < 0 only by rounding at the root: iterates approach it from f >= 0
+        conv = fin & ((f <= _F_ATOL) | (
+            ~turn & (np.abs(tn - t) <= _X_RTOL * (1.0 + np.abs(tn)))))
+        over = fin & ~conv & turn                # minimum above the level
+        root[idx[conv]] = t[conv]
+        whole[idx[over]] = True
+        ok[idx[conv | over]] = True
+        keep = ~(conv | turn) & np.isfinite(tn)
+        if not keep.any():
             break
-    return t, ok
-
-
-def _march(logc, s, t0, direction, level, want_exceed):
-    """March from t0 in ``direction`` (+-1), doubling the step, until
-    lse - level is >= 0 (``want_exceed``) or < 0 (otherwise)."""
-    t = t0.copy()
-    step = np.ones_like(t)
-    for _ in range(_MAX_ITER):
-        f = _lse(logc, s, t) - level
-        done = (f >= 0.0) == want_exceed
-        if np.all(done):
-            break
-        t = np.where(done, t, t + direction * step)
-        step = np.where(done, step, 2.0 * step)
-    return t
+        idx, logc, s, level, t = idx[keep], logc[keep], s[keep], level[keep], tn[keep]
+    return root, whole, ok
 
 
 def exceedance_bounds(logc: np.ndarray, slopes: np.ndarray, log_level):
@@ -160,116 +140,23 @@ def exceedance_bounds(logc: np.ndarray, slopes: np.ndarray, log_level):
                 level[adj] = level[adj] + np.log1p(-ratio)
             whole |= np.isneginf(level) & adj  # c0 ate the level to rounding
 
-    act = present & (slopes != 0.0)
-    lc = np.where(act, logc, -np.inf)
-    has_pos = np.any(act & (slopes > 0.0), axis=1)
-    has_neg = np.any(act & (slopes < 0.0), axis=1)
-
-    psi_lo[whole] = np.inf
-    psi_hi[whole] = -np.inf
     # rows with no variable term and constant below the level are empty:
     # the default (-inf, +inf) already encodes the empty set.
-
-    def term_crossings(rows, want_positive):
-        # t where an individual term alone reaches the level; a guaranteed
-        # point of exceedance on the relevant side
-        sel = act[rows] & ((slopes[rows] > 0.0) if want_positive else (slopes[rows] < 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ti = (level[rows][:, None] - lc[rows]) / slopes[rows]
-        ti = np.where(sel, ti, np.inf if want_positive else -np.inf)
-        return np.min(ti, axis=1) if want_positive else np.max(ti, axis=1)
-
-    # strictly increasing rows: single right boundary
-    inc = has_pos & ~has_neg & ~whole
-    if np.any(inc):
-        rows = np.where(inc)[0]
-        a, s, L = lc[rows], slopes[rows], level[rows]
-        hi = term_crossings(rows, True)      # one term alone reaches the level
-        lo = _march(a, s, hi - 1.0, -1.0, L, want_exceed=False)
-        root, conv = _solve_level(a, s, L, lo, hi, sign=1.0)
-        psi_hi[rows] = root
-        ok[rows] &= conv
-
-    # strictly decreasing rows: single left boundary (mirror image)
-    dec = has_neg & ~has_pos & ~whole
-    if np.any(dec):
-        rows = np.where(dec)[0]
-        a, s, L = lc[rows], -slopes[rows], level[rows]
-        hi = -term_crossings(rows, False)
-        lo = _march(a, s, hi - 1.0, -1.0, L, want_exceed=False)
-        root, conv = _solve_level(a, s, L, lo, hi, sign=1.0)
-        psi_lo[rows] = -root
-        ok[rows] &= conv
-
-    # mixed rows: minimize, then one root on each side when the minimum dips
-    mix = has_pos & has_neg & ~whole
-    if np.any(mix):
-        rows = np.where(mix)[0]
-        a, s, L = lc[rows], slopes[rows], level[rows]
-        m = rows.size
-
-        tlo = np.zeros(m)
-        step = np.ones(m)
-        for _ in range(_MAX_ITER):
-            g, _ = _lse_grad_curv(a, s, tlo)
-            need = g > 0.0
-            if not np.any(need):
-                break
-            tlo = np.where(need, tlo - step, tlo)
-            step = np.where(need, 2.0 * step, step)
-        thi = np.zeros(m)
-        step = np.ones(m)
-        for _ in range(_MAX_ITER):
-            g, _ = _lse_grad_curv(a, s, thi)
-            need = g < 0.0
-            if not np.any(need):
-                break
-            thi = np.where(need, thi + step, thi)
-            step = np.where(need, 2.0 * step, step)
-
-        t = 0.5 * (tlo + thi)
-        conv_min = np.zeros(m, dtype=bool)
-        for _ in range(_MAX_ITER):
-            g, curv = _lse_grad_curv(a, s, t)
-            active = ~conv_min
-            move_lo = (g < 0.0) & active
-            tlo = np.where(move_lo, t, tlo)
-            thi = np.where(active & ~move_lo, t, thi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tn = t - g / curv
-            bad = ~np.isfinite(tn) | (tn <= tlo) | (tn >= thi)
-            tn = np.where(bad, 0.5 * (tlo + thi), tn)
-            conv_min |= active & (np.abs(tn - t) <= _X_RTOL * (1.0 + np.abs(tn)))
-            t = np.where(active, tn, t)      # converged rows freeze
-            if np.all(conv_min):
-                break
-        ok[rows] &= conv_min
-
-        fmin = _lse(a, s, t) - L
-        above = fmin >= 0.0
-        if np.any(above):
-            # minimum at or over the level: the whole line exceeds (up to a
-            # single tangency point of measure zero)
-            psi_lo[rows[above]] = np.inf
-            psi_hi[rows[above]] = -np.inf
-        below = ~above
-        if np.any(below):
-            r2 = rows[below]
-            a2, s2, L2, tmin = a[below], s[below], L[below], t[below]
-            # right root: a positive-slope term crossing gives f >= 0, but only
-            # if it lands right of the minimizer; otherwise march outward
-            tc = term_crossings(r2, True)
-            hi_r = np.where(tc > tmin, tc, tmin + 1.0)
-            hi_r = _march(a2, s2, hi_r, 1.0, L2, want_exceed=True)
-            root, conv = _solve_level(a2, s2, L2, tmin, hi_r, sign=1.0)
-            psi_hi[r2] = root
-            ok[r2] &= conv
-            tc = term_crossings(r2, False)
-            lo_l = np.where(tc < tmin, tc, tmin - 1.0)
-            lo_l = _march(a2, s2, lo_l, -1.0, L2, want_exceed=True)
-            root, conv = _solve_level(a2, s2, L2, lo_l, tmin, sign=-1.0)
-            psi_lo[r2] = root
-            ok[r2] &= conv
+    act = present & (slopes != 0.0)
+    right = np.flatnonzero(~whole & np.any(act & (slopes > 0.0), axis=1))
+    left = np.flatnonzero(~whole & np.any(act & (slopes < 0.0), axis=1))
+    # one batch: the right boundaries, then the left ones as right boundaries
+    # of the mirrored sums
+    rows = np.concatenate([right, left])
+    sign = np.repeat([1.0, -1.0], [right.size, left.size])
+    root, over, conv = _right_roots(np.where(act[rows], logc[rows], -np.inf),
+                                    slopes[rows] * sign[:, None], level[rows])
+    psi_hi[right] = root[:right.size]
+    psi_lo[left] = -root[right.size:]
+    ok[rows[~conv]] = False
+    whole[rows[over]] = True
+    psi_lo[whole] = np.inf
+    psi_hi[whole] = -np.inf
     return psi_lo, psi_hi, ok
 
 
@@ -296,8 +183,8 @@ class ExpSum:
 
     def log_value(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return _lse(np.log(self.coeffs)[None, :].repeat(x.size, axis=0),
-                    self.slopes[None, :].repeat(x.size, axis=0), x)
+        return _lse_grad(np.log(self.coeffs)[None, :].repeat(x.size, axis=0),
+                         self.slopes[None, :].repeat(x.size, axis=0), x)[0]
 
     def value(self, x):
         out = np.exp(self.log_value(x))

@@ -129,6 +129,16 @@ def test_failure_budget_aborts_run():
         run_replications(leaky_engine, 10_000, seed=1)
 
 
+def test_run_rejects_context_for_another_model_or_threshold():
+    m = two_risk_model()
+    ctx = make_context(m, 10.0)
+    with pytest.raises(ValidationError, match="another model or threshold"):
+        run(m, 12.0, "mak", 100, seed=1, ctx=ctx)
+    with pytest.raises(ValidationError, match="another model or threshold"):
+        run(two_risk_model(), 10.0, "mak", 100, seed=1, ctx=ctx)
+    assert run(m, 10.0, "mak", 100, seed=1, ctx=ctx).u == 10.0
+
+
 def test_stratified_engines_reject_extreme_threshold():
     from tailrisk.errors import ThresholdTooExtremeError
     m = two_risk_model()

@@ -1,7 +1,10 @@
 """Exceedance sets of convex exponential sums, checked against brute force."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailrisk.errors import ValidationError
 from tailrisk.rootfind import (ExpSum, IntervalSet, exceedance_bounds,
@@ -212,3 +215,117 @@ def test_huge_levels_stay_in_log_space():
     assert abs(h.value(lo) - 5e5) <= 1e-8 * 5e5
     big = exceedance_set(h, 1e280)
     assert np.isfinite(big.intervals[0][0])
+
+
+# ---------------------------------------------------------------------------
+# property tests of the batched solver
+# ---------------------------------------------------------------------------
+
+# a term is (log-coefficient, slope): -inf marks an absent term; the sampled
+# values produce tied coefficients and tied slopes
+_TERM = st.tuples(
+    st.one_of(st.just(-np.inf), st.sampled_from([0.0, 1.0, -3.0]),
+              st.floats(-50.0, 50.0)),
+    st.one_of(st.just(0.0), st.sampled_from([-1.0, 1.0, 2.0]),
+              st.floats(0.05, 3.0), st.floats(-3.0, -0.05)))
+_ROW = st.tuples(st.lists(_TERM, min_size=1, max_size=6),
+                 st.one_of(st.sampled_from([0.0, 1.0]),
+                           st.floats(np.log(1e-300), np.log(1e300))))
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def batches(draw):
+    """(logc, slopes, log_level) for a batch of rows padded with absent terms."""
+    rows = draw(st.lists(_ROW, min_size=1, max_size=8))
+    d = max(len(terms) for terms, _ in rows)
+    logc = np.full((len(rows), d), -np.inf)
+    slopes = np.zeros((len(rows), d))
+    for i, (terms, _) in enumerate(rows):
+        for k, (a, b) in enumerate(terms):
+            logc[i, k], slopes[i, k] = a, b
+    return logc, slopes, np.array([level for _, level in rows])
+
+
+def excess(logc, slopes, level, t):
+    """f(t) = log h(t) - log level for one row, in float64."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return np.logaddexp.reduce(logc[None, :] + slopes[None, :] * t[:, None],
+                               axis=1) - level
+
+
+def excess_exact(logc, slopes, level, t):
+    """f(t) in 40-digit arithmetic, so its sign is exact at the probe points."""
+    with mpmath.workdps(40):
+        terms = [mpmath.exp(mpmath.mpf(a) + mpmath.mpf(b) * mpmath.mpf(t))
+                 for a, b in zip(logc, slopes) if np.isfinite(a)]
+        if not terms:
+            return -mpmath.inf
+        return mpmath.log(mpmath.fsum(terms)) - mpmath.mpf(level)
+
+
+@_PROPERTY
+@given(batches())
+def test_property_converges_with_small_residual(batch):
+    logc, slopes, level = batch
+    lo, hi, ok = exceedance_bounds(logc, slopes, level)
+    assert ok.all()
+    for i in range(level.size):
+        if lo[i] >= hi[i]:
+            continue
+        for e in (lo[i], hi[i]):
+            if np.isfinite(e):
+                resid = excess(logc[i], slopes[i], level[i], e)[0]
+                assert abs(resid) <= 1e-9 * max(1.0, abs(level[i]))
+
+
+@_PROPERTY
+@given(batches())
+def test_property_sign_change_at_endpoints(batch):
+    # f > 0 just outside each endpoint; f < 0 just inside it whenever the
+    # inside probe still lies between the two endpoints
+    logc, slopes, level = batch
+    lo, hi, _ = exceedance_bounds(logc, slopes, level)
+    for i in range(level.size):
+        if lo[i] >= hi[i]:
+            continue
+        for e, outward in ((lo[i], -1.0), (hi[i], 1.0)):
+            if not np.isfinite(e):
+                continue
+            step = 1e-6 * max(1.0, abs(e))
+            assert excess_exact(logc[i], slopes[i], level[i], e + outward * step) > 0
+            inside = e - outward * step
+            if lo[i] < inside < hi[i]:
+                assert excess_exact(logc[i], slopes[i], level[i], inside) < 0
+
+
+@_PROPERTY
+@given(batches())
+def test_property_whole_line_rows_stay_above_level(batch):
+    # the minimum of f over a fine grid around its minimizer is >= 0, up to
+    # the rounding of a log-sum-exp near the level
+    logc, slopes, level = batch
+    lo, hi, _ = exceedance_bounds(logc, slopes, level)
+    for i in np.flatnonzero(lo >= hi):
+        coarse = np.linspace(-2000.0, 2000.0, 40001)
+        t0 = coarse[np.argmin(excess(logc[i], slopes[i], level[i], coarse))]
+        fine = np.linspace(t0 - 0.1, t0 + 0.1, 2001)
+        fmin = np.min(excess(logc[i], slopes[i], level[i], fine))
+        assert fmin >= -1e-12 * max(1.0, abs(level[i]))
+
+
+@_PROPERTY
+@given(batches())
+def test_property_single_term_rows_are_exact(batch):
+    logc, slopes, level = batch
+    lo, hi, _ = exceedance_bounds(logc, slopes, level)
+    present = np.isfinite(logc)
+    for i in np.flatnonzero(present.sum(axis=1) == 1):
+        k = np.flatnonzero(present[i])[0]
+        if slopes[i, k] == 0.0:
+            continue
+        root = (level[i] - logc[i, k]) / slopes[i, k]
+        if slopes[i, k] > 0.0:
+            assert lo[i] == -np.inf and hi[i] == root
+        else:
+            assert lo[i] == root and hi[i] == np.inf
