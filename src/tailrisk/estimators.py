@@ -22,9 +22,12 @@ unbiased sample of alpha(u):
 Estimators run only as block engines (:func:`make_engine`), which vectorize
 replications; every block of ``randsrc.BLOCK_SIZE`` replications always
 generates its full draw layout, so results are identical however a run is
-chunked.  The conditional cores are pure functions of the drawn coordinates,
-exposed separately (``*_values``) so tests can drive them with hand-picked
-inputs.
+chunked.  Everything that depends only on (model, u) is computed once by
+:func:`make_context` as plain arrays: the factors, the stratification weights,
+the IS tuning and the per-stratum coefficients of the cores.  The
+conditional cores are pure functions of the context and the drawn
+coordinates, exposed separately (``*_values``) so tests can drive them with
+hand-picked inputs; each ends in one solve-and-measure step.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from . import randsrc, tails
 from .errors import (NumericalAbortError, ThresholdTooExtremeError,
                      ValidationError)
-from .linalg import FactorizationSet, factorize_all
+from .linalg import factorize_all
 from .model import ModelSpec
 from .rootfind import exceedance_bounds
 from .tails import log_is_density, log_sphere_density, normal_cdf, normal_tail
@@ -91,29 +94,28 @@ class BlockResult(NamedTuple):
     clamped: int
 
 
-class _Prep(NamedTuple):
-    a_rest: np.ndarray     # non-driver columns of A^(j), (d, d-1)
-    mak_slopes: np.ndarray  # bg_i * A^(j)[i, 0], (d,)
-    e2_coeff: np.ndarray   # bg_j - bg_i * A^(j)[i, 0], (d,)
-    dlog: np.ndarray       # log(lam_i) - log(lam_j), (d,)
-
-
 @dataclass(frozen=True)
 class ReplicationContext:
     """Everything a replication needs that depends only on (model, u).
 
     Immutable and shared read-only across workers; streams stay outside.
-    ``is_b`` carries the per-stratum f_IS shape parameters for ``is_a``.
+    ``factors[j]`` is A^(j) (see ``linalg.factorize_all``), ``is_b`` the
+    per-stratum f_IS shape parameters for ``is_a``, and the (d, d) arrays are
+    indexed [stratum j, risk i].
     """
 
     model: ModelSpec
     u: float
-    factors: FactorizationSet
+    factors: np.ndarray      # (d, d, d)
     strat_weights: np.ndarray
     strat_total: float
     is_a: float
     is_b: np.ndarray
-    prep: tuple[_Prep, ...]
+    log_u: float             # -inf for u <= 0
+    loglam: np.ndarray       # log(lam_i), (d,)
+    mak_slopes: np.ndarray   # bg_i * A^(j)[i, 0]
+    e2_coeff: np.ndarray     # bg_j - bg_i * A^(j)[i, 0]
+    dlog: np.ndarray         # log(lam_i) - log(lam_j)
 
     @property
     def d(self) -> int:
@@ -121,31 +123,25 @@ class ReplicationContext:
 
 
 def make_context(model: ModelSpec, u: float, is_a: float = 10.0) -> ReplicationContext:
-    """Precompute factorizations, stratification weights and IS tuning.
+    """Precompute factorizations, stratification weights, IS tuning and the
+    per-stratum coefficients of the conditional cores.
 
-    Underflowed marginal tails are kept as zeros here; the stratified
-    estimators raise when they actually need the weights.
+    Underflowed marginal tails are kept as zeros here; ``make_engine``
+    refuses every estimator but ``cmc`` when they all underflow.
     """
     if u < 0:
         raise ValidationError("threshold u must be nonnegative")
     factors = factorize_all(model.sigma)
     weights = tails.marginal_tails(model, u, check=False)
-    total = float(weights.sum())
-    is_b = tails.is_tuning_b_vector(model, u, is_a) if u > 0 else \
-        np.full(model.d, max(0.75 * (model.d - 1), 0.05))
     loglam = np.log(model.lam)
-    prep = tuple(
-        _Prep(
-            a_rest=factors.factors[k][:, 1:],
-            mak_slopes=model.bg * factors.factors[k][:, 0],
-            e2_coeff=model.bg[k] - model.bg * factors.factors[k][:, 0],
-            dlog=loglam - loglam[k],
-        )
-        for k in range(model.d)
-    )
-    return ReplicationContext(model=model, u=u, factors=factors,
-                              strat_weights=weights, strat_total=total,
-                              is_a=float(is_a), is_b=is_b, prep=prep)
+    mak_slopes = model.bg * factors[:, :, 0]
+    return ReplicationContext(
+        model=model, u=u, factors=factors, strat_weights=weights,
+        strat_total=float(weights.sum()), is_a=float(is_a),
+        is_b=tails.is_tuning_b_vector(model, u, is_a),
+        log_u=float(np.log(u)) if u > 0 else -np.inf, loglam=loglam,
+        mak_slopes=mak_slopes, e2_coeff=model.bg[:, None] - mak_slopes,
+        dlog=loglam[None, :] - loglam[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +157,15 @@ def _normal_measure(lo, hi):
     return np.where(hi > lo, np.maximum(out, 0.0), 0.0)
 
 
-def _measure_exceedance(psi_lo, psi_hi, w_lo, w_hi, measure) -> np.ndarray:
-    """Measure of ((-inf, psi_lo) u (psi_hi, inf)) intersected with [w_lo, w_hi)."""
+def _solve_and_measure(ctx, logk, slopes, w_lo, w_hi, dead, measure):
+    """Measure of {t : sum_i exp(logk_i + slopes_i t) > u} within the window
+    [w_lo, w_hi), zero on ``dead`` or empty windows.  Returns (values, ok)."""
+    psi_lo, psi_hi, ok = exceedance_bounds(logk, slopes, ctx.log_u)
     whole = psi_lo >= psi_hi
     left = measure(w_lo, np.minimum(psi_lo, w_hi))
     right = measure(np.maximum(psi_hi, w_lo), w_hi)
-    return np.where(whole, measure(w_lo, w_hi), left + right)
+    vals = np.where(whole, measure(w_lo, w_hi), left + right)
+    return np.where(dead | (w_lo >= w_hi), 0.0, vals), ok
 
 
 def _max_window(e2_coeff, rhs, j, d):
@@ -196,21 +195,16 @@ def mak_conditional_values(ctx: ReplicationContext, j: int,
     if not ctx.model.radial.is_gaussian:
         raise ValidationError(
             "the conditional normal estimator requires the Gaussian radial law")
-    m = ctx.model
-    p = ctx.prep[j]
+    bg = ctx.model.bg
     rest = np.atleast_2d(np.asarray(rest, dtype=float))
     if rest.shape[1] != ctx.d - 1:
         raise ValidationError(f"rest must have {ctx.d - 1} columns")
-    c = rest @ p.a_rest.T                        # (mb, d) conditional offsets
-    logk = np.log(m.lam)[None, :] + m.bg[None, :] * c
-    slopes = np.broadcast_to(p.mak_slopes, logk.shape)
-    log_level = -np.inf if ctx.u <= 0 else np.log(ctx.u)
-    psi_lo, psi_hi, ok = exceedance_bounds(logk, slopes, log_level)
-    rhs = p.dlog[None, :] + m.bg[None, :] * c
-    w_lo, w_hi, dead = _max_window(p.e2_coeff, rhs, j, ctx.d)
-    vals = _measure_exceedance(psi_lo, psi_hi, w_lo, w_hi, _normal_measure)
-    vals = np.where(dead | (w_lo >= w_hi), 0.0, vals)
-    return vals, ok
+    c = rest @ ctx.factors[j][:, 1:].T           # (mb, d) conditional offsets
+    logk = ctx.loglam[None, :] + bg[None, :] * c
+    slopes = np.broadcast_to(ctx.mak_slopes[j], logk.shape)
+    rhs = ctx.dlog[j][None, :] + bg[None, :] * c
+    w_lo, w_hi, dead = _max_window(ctx.e2_coeff[j], rhs, j, ctx.d)
+    return _solve_and_measure(ctx, logk, slopes, w_lo, w_hi, dead, _normal_measure)
 
 
 def _radial_measure(ctx):
@@ -233,23 +227,19 @@ def rn_conditional_values(ctx: ReplicationContext, j: int, theta_j: np.ndarray,
     sphere coordinates).  Returns (values, converged) where values already
     carry the importance weight f(theta)/f_IS(a, b_j, theta).
     """
-    m = ctx.model
-    p = ctx.prep[j]
+    bg = ctx.model.bg
     theta_j = np.atleast_1d(np.asarray(theta_j, dtype=float))
     rest = np.atleast_2d(np.asarray(rest, dtype=float))
     u_sphere = randsrc.assemble_sphere_with_driver(theta_j, rest)
-    theta = u_sphere @ ctx.factors.factors[j].T          # (mb, d), theta[:, j] == theta_j
+    theta = u_sphere @ ctx.factors[j].T                   # (mb, d), theta[:, j] == theta_j
     logw = (log_sphere_density(ctx.d, theta_j)
             - log_is_density(ctx.is_a, float(ctx.is_b[j]), theta_j))
-    slopes = m.bg[None, :] * theta
-    logk = np.broadcast_to(np.log(m.lam), slopes.shape)
-    log_level = -np.inf if ctx.u <= 0 else np.log(ctx.u)
-    psi_lo, psi_hi, ok = exceedance_bounds(logk, slopes, log_level)
-    e2 = m.bg[j] * theta_j[:, None] - m.bg[None, :] * theta
-    w_lo, w_hi, dead = _max_window(e2, np.broadcast_to(p.dlog, e2.shape), j, ctx.d)
+    slopes = bg[None, :] * theta
+    e2 = bg[j] * theta_j[:, None] - bg[None, :] * theta
+    w_lo, w_hi, dead = _max_window(e2, np.broadcast_to(ctx.dlog[j], e2.shape), j, ctx.d)
     w_lo = np.maximum(w_lo, 0.0)                          # radius domain
-    vals = _measure_exceedance(psi_lo, psi_hi, w_lo, w_hi, _radial_measure(ctx))
-    vals = np.where(dead | (w_lo >= w_hi), 0.0, vals)
+    vals, ok = _solve_and_measure(ctx, np.broadcast_to(ctx.loglam, slopes.shape),
+                                  slopes, w_lo, w_hi, dead, _radial_measure(ctx))
     return np.exp(logw) * vals, ok
 
 
@@ -261,23 +251,19 @@ def zr_values(ctx: ReplicationContext,
     P(R < psi_lo) 1{psi_lo > 0} + P(R > psi_hi), i.e. the radial measure of
     the exceedance set restricted to the nonnegative half-line.
     """
-    m = ctx.model
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    slopes = m.bg[None, :] * theta
-    logk = np.broadcast_to(np.log(m.lam), slopes.shape)
-    log_level = -np.inf if ctx.u <= 0 else np.log(ctx.u)
-    psi_lo, psi_hi, ok = exceedance_bounds(logk, slopes, log_level)
+    slopes = ctx.model.bg[None, :] * theta
     mcount = theta.shape[0]
-    vals = _measure_exceedance(psi_lo, psi_hi, np.zeros(mcount),
-                               np.full(mcount, np.inf), _radial_measure(ctx))
-    return vals, ok
+    return _solve_and_measure(ctx, np.broadcast_to(ctx.loglam, slopes.shape), slopes,
+                              np.zeros(mcount), np.full(mcount, np.inf), False,
+                              _radial_measure(ctx))
 
 
 def _risks(ctx: ReplicationContext, w: np.ndarray) -> np.ndarray:
     """The risks lam_i * exp(bg_i * Y_i) for driver-coordinate rows ``w``,
     with Y = w A^T for the plain Cholesky factor A."""
     m = ctx.model
-    y = w @ ctx.factors.factors[0].T
+    y = w @ ctx.factors[0].T
     with np.errstate(over="ignore"):
         return m.lam * np.exp(m.bg * y)
 
@@ -369,10 +355,6 @@ def _stratified_engine(ctx, core):
     """
     z = ctx.strat_weights
     ztot = ctx.strat_total
-    if not np.isfinite(ztot) or ztot <= 0.0:
-        raise ThresholdTooExtremeError(
-            f"all marginal tails underflowed at u={ctx.u:g}: stratification "
-            f"weights are zero, threshold too extreme")
 
     def engine(gen: np.random.Generator, mb: int) -> BlockResult:
         idx = randsrc.stratified_indices(gen, mb, z)
@@ -400,6 +382,8 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind
     values for those rows; its draw layout is fixed by (estimator, model, u)
     so replication k sees the same randomness regardless of chunking.  An
     ``rn`` kind must carry the ``a`` the context was tuned for (``is_a``).
+    Every kind but ``cmc``, whose zero is an honest hit count, raises
+    ``ThresholdTooExtremeError`` where all marginal tails underflow.
     """
     d = ctx.d
     kname = kind.name
@@ -415,6 +399,10 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind
                 w = radii[:, None] * randsrc.sphere_matrix(gen, mb, d)
                 return BlockResult(cmc_values(ctx, w), 0, 0)
         return engine
+
+    if not np.isfinite(ctx.strat_total) or ctx.strat_total <= 0.0:
+        raise ThresholdTooExtremeError(
+            f"all marginal tails underflowed at u={ctx.u:g}: threshold too extreme")
 
     if kname == "ak":
         symmetrize = not identical_marginals(ctx.model)
@@ -436,7 +424,7 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind
     if kname == "zr":
         def core(gen, count):
             u_sphere = randsrc.sphere_matrix(gen, count, d)
-            vals, ok = zr_values(ctx, u_sphere @ ctx.factors.factors[0].T)
+            vals, ok = zr_values(ctx, u_sphere @ ctx.factors[0].T)
             return vals, ok, 0
 
         def engine(gen, mb):

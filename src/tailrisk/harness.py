@@ -200,13 +200,11 @@ class TableRow:
 
 def compare(model: ModelSpec, rhos: Sequence, us: Sequence[float],
             kinds: Sequence, n: int, seed: int, cmc_n: int | None = None,
-            threads: int = 1,
-            cmc_baseline: RunStats | None = None) -> list[TableRow]:
+            threads: int = 1) -> list[TableRow]:
     """One RunStats row per (estimator, correlation, threshold).
 
     The CMC row of each (rho, u) cell is computed first and used as that
-    cell's efficiency baseline; without a CMC row a stored baseline must be
-    supplied (or efficiencies stay empty).
+    cell's efficiency baseline; without a CMC row efficiencies stay empty.
     """
     kinds = [EstimatorKind.parse(k) for k in kinds]
     rows: list[TableRow] = []
@@ -218,11 +216,11 @@ def compare(model: ModelSpec, rhos: Sequence, us: Sequence[float],
             # CMC first so its variance and clock anchor the efficiency column
             ordered = sorted(kinds, key=lambda k: k.name != "cmc")
             cell: dict[str, RunStats] = {}
-            baseline = cmc_baseline
+            baseline = None
             for kind in ordered:
                 reps = cmc_n if (kind.name == "cmc" and cmc_n) else n
                 stats = run(m, u, kind, reps, seed, threads=threads)
-                if kind.name == "cmc" and cmc_baseline is None:
+                if kind.name == "cmc":
                     stats = attach_efficiency(stats, stats)
                     baseline = stats
                 cell[kind.label()] = stats

@@ -10,8 +10,6 @@ matrix.  One Cholesky kernel, one swap per index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -41,20 +39,6 @@ def validate_correlation(sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
-@dataclass(frozen=True)
-class FactorizationSet:
-    """All d per-index factors of one correlation matrix.
-
-    ``factors[j]`` is the d x d matrix A^(j) with A^(j) (A^(j))^T = sigma and
-    row j equal to the unit vector in column 0, the driver coordinate.
-    ``factors[0]`` coincides with the plain lower-triangular Cholesky factor.
-    Immutable; share freely across workers.
-    """
-
-    sigma: np.ndarray
-    factors: np.ndarray        # shape (d, d, d): factors[j] = A^(j)
-
-
 def _cholesky_named(sigma: np.ndarray) -> np.ndarray:
     try:
         L = np.linalg.cholesky(sigma)
@@ -77,8 +61,13 @@ def _cholesky_named(sigma: np.ndarray) -> np.ndarray:
     return L
 
 
-def factorize_all(sigma: np.ndarray) -> FactorizationSet:
-    """Compute A^(j) for every index j of a correlation matrix."""
+def factorize_all(sigma: np.ndarray) -> np.ndarray:
+    """A^(j) for every index j of a correlation matrix, as one (d, d, d) array.
+
+    ``factors[j]`` is A^(j): A^(j) (A^(j))^T = sigma and row j is the unit
+    vector in column 0, the driver coordinate.  ``factors[0]`` coincides with
+    the plain lower-triangular Cholesky factor.
+    """
     sigma = validate_correlation(sigma)
     d = sigma.shape[0]
     factors = np.empty((d, d, d))
@@ -89,4 +78,4 @@ def factorize_all(sigma: np.ndarray) -> FactorizationSet:
         # permuted variable a is original perm[a]; row of original i is row
         # perm[i] of L (perm is its own inverse)
         factors[j] = L[perm, :]
-    return FactorizationSet(sigma=sigma, factors=factors)
+    return factors

@@ -33,7 +33,6 @@ stops there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -120,25 +119,22 @@ def exceedance_bounds(logc: np.ndarray, slopes: np.ndarray, log_level):
     present = np.isfinite(logc)
     whole = level == -np.inf
 
-    # fold zero-slope terms into the level: h(x) > u  <=>  h_var(x) > u - c0
+    # fold zero-slope terms into the level: h(x) > u  <=>  h_var(x) > u - c0,
+    # on the rows that have such a constant only
     zmask = present & (slopes == 0.0)
     if np.any(zmask):
         zc = np.where(zmask, logc, -np.inf)
         m0 = np.max(zc, axis=1)
-        has0 = np.isfinite(m0)
-        logc0 = np.where(
-            has0,
-            np.where(has0, m0, 0.0)
-            + np.log(np.sum(np.exp(zc - np.where(has0, m0, 0.0)[:, None]), axis=1)),
-            -np.inf)
-        swallow = has0 & (logc0 >= level)
-        whole |= swallow
-        adj = has0 & ~swallow
-        if np.any(adj):
-            ratio = np.exp(logc0[adj] - level[adj])
-            with np.errstate(divide="ignore"):
-                level[adj] = level[adj] + np.log1p(-ratio)
-            whole |= np.isneginf(level) & adj  # c0 ate the level to rounding
+        zrows = np.flatnonzero(m0 > -np.inf)
+        m0 = m0[zrows]
+        logc0 = m0 + np.log(np.sum(np.exp(zc[zrows] - m0[:, None]), axis=1))
+        swallow = logc0 >= level[zrows]
+        whole[zrows[swallow]] = True
+        adj = zrows[~swallow]
+        ratio = np.exp(logc0[~swallow] - level[adj])
+        with np.errstate(divide="ignore"):
+            level[adj] = level[adj] + np.log1p(-ratio)
+        whole[adj] |= np.isneginf(level[adj])  # c0 ate the level to rounding
 
     # rows with no variable term and constant below the level are empty:
     # the default (-inf, +inf) already encodes the empty set.
@@ -191,19 +187,6 @@ class ExpSum:
         return float(out[0]) if np.isscalar(x) else out
 
 
-class PsiBounds(NamedTuple):
-    """Boundaries of the exceedance set over the whole real line.
-
-    ``lower``: right endpoint of the left-unbounded component (None if none).
-    ``upper``: left endpoint of the right-unbounded component (None if none).
-    ``whole_line``: the sum exceeds the level everywhere.
-    """
-
-    lower: float | None
-    upper: float | None
-    whole_line: bool
-
-
 @dataclass(frozen=True)
 class IntervalSet:
     """Union of at most two disjoint half-open intervals [lo, hi)."""
@@ -231,34 +214,19 @@ class IntervalSet:
         return not self.intervals
 
 
-def _solve_scalar(h: ExpSum, level: float):
-    if level is None or not np.isfinite(level) or level <= 0.0:
-        raise ValidationError("level must be a positive finite real")
-    logc = np.log(h.coeffs)[None, :]
-    s = h.slopes[None, :]
-    lo, hi, ok = exceedance_bounds(logc, s, np.log(level))
-    if not ok[0]:
-        raise RootFindError(
-            f"exceedance solve did not converge (level={level:g}, "
-            f"slopes={h.slopes}, coeffs={h.coeffs})")
-    return float(lo[0]), float(hi[0])
-
-
-def psi_bounds(h: ExpSum, level: float) -> PsiBounds:
-    """Lower/upper solutions of h(x) = level bounding the exceedance set."""
-    lo, hi = _solve_scalar(h, level)
-    if lo >= hi:
-        return PsiBounds(lower=None, upper=None, whole_line=True)
-    return PsiBounds(lower=None if lo == -np.inf else lo,
-                     upper=None if hi == np.inf else hi,
-                     whole_line=False)
-
-
 def exceedance_set(h: ExpSum, level: float, domain: str = "real") -> IntervalSet:
     """{x in domain : h(x) > level} for domain "real" or "nonneg"."""
     if domain not in ("real", "nonneg"):
         raise ValidationError(f"domain must be 'real' or 'nonneg', got {domain!r}")
-    lo, hi = _solve_scalar(h, level)
+    if level is None or not np.isfinite(level) or level <= 0.0:
+        raise ValidationError("level must be a positive finite real")
+    lo, hi, ok = exceedance_bounds(np.log(h.coeffs)[None, :], h.slopes[None, :],
+                                   np.log(level))
+    if not ok[0]:
+        raise RootFindError(
+            f"exceedance solve did not converge (level={level:g}, "
+            f"slopes={h.slopes}, coeffs={h.coeffs})")
+    lo, hi = float(lo[0]), float(hi[0])
     left_edge = 0.0 if domain == "nonneg" else -np.inf
     if lo >= hi:
         return IntervalSet(((left_edge, np.inf),))

@@ -182,6 +182,9 @@ def test_criterion_6_stratification_identity(d2_oracle):
 def test_criterion_7_rootfinder_grid_oracle():
     rng = np.random.default_rng(SEED)
     xs = np.arange(-50.0, 50.0, 1e-4)
+    # the same grid as 1000 coarse x 1000 fine points: each term's values are
+    # the outer product of two 1000-point exponentials
+    coarse, fine = xs[::1000], xs[:1000] - xs[0]
     n_inst = 1000
     bad_points = 0
     bad_resid = 0
@@ -198,13 +201,11 @@ def test_criterion_7_rootfinder_grid_oracle():
         got = np.zeros(xs.size, dtype=bool)
         for a, b in iset.intervals:
             got |= (xs >= a) & (xs < b)
-        # direct evaluation: exponents stay below 160, no overflow possible
-        want = np.zeros(xs.size, dtype=bool)
-        for lo in range(0, xs.size, 250_000):
-            chunk = xs[lo:lo + 250_000]
-            hv = np.exp(np.log(h.coeffs)[None, :]
-                        + h.slopes[None, :] * chunk[:, None]).sum(axis=1)
-            want[lo:lo + 250_000] = hv > level
+        # linear-space evaluation: exponents stay below 160, no overflow possible
+        hv = np.zeros((coarse.size, fine.size))
+        for c, s in zip(h.coeffs, h.slopes):
+            hv += np.outer(c * np.exp(s * coarse), np.exp(s * fine))
+        want = (hv > level).ravel()
         off = np.where(want != got)[0]
         for k in off:
             if not eps or min(abs(xs[k] - e) for e in eps) >= 1e-6:
@@ -251,16 +252,17 @@ def test_criterion_9_component_inequality():
     violations = 0
     for d in (2, 5, 10):
         for rho in (0.0, 0.4, 0.9):
-            fs = factorize_all(equicorrelation(d, rho))
+            sigma = equicorrelation(d, rho)
+            fs = factorize_all(sigma)
             w = rng.standard_normal((10_000, d))
             w /= np.linalg.norm(w, axis=1, keepdims=True)
             for j in range(d):
-                theta = w @ fs.factors[j].T
+                theta = w @ fs[j].T
                 tj = theta[:, j]
                 # cancellation-free 1 - tj^2 (tj is the driver coordinate)
                 rest_sq = np.sum(np.square(w), axis=1) - np.square(w[:, 0])
                 for i in range(d):
-                    sij = fs.sigma[i, j]
+                    sij = sigma[i, j]
                     lhs = np.abs(theta[:, i] - sij * tj)
                     rhs = np.sqrt(1 - sij * sij) * np.sqrt(rest_sq)
                     violations += int(np.sum(lhs > rhs + 1e-12))

@@ -12,7 +12,7 @@ def test_identity_factorizes_to_permutation():
     for d in (1, 2, 5):
         fs = factorize_all(np.eye(d))
         for j in range(d):
-            A = fs.factors[j]
+            A = fs[j]
             assert np.allclose(np.abs(A) @ np.abs(A).T, np.eye(d))
             row = A[j]
             assert row[0] == 1.0
@@ -22,7 +22,7 @@ def test_identity_factorizes_to_permutation():
 def test_two_dim_hand_factor():
     sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
     fs = factorize_all(sigma)
-    A = fs.factors[1]                    # row for risk 2 is the driver unit
+    A = fs[1]                            # row for risk 2 is the driver unit
     assert A[1, 0] == pytest.approx(1.0)
     assert A[1, 1] == pytest.approx(0.0, abs=1e-15)
     assert A[0, 0] == pytest.approx(0.9)
@@ -34,7 +34,7 @@ def test_factorization_invariants_d10(rho):
     sigma = equicorrelation(10, rho)
     fs = factorize_all(sigma)
     for j in range(10):
-        A = fs.factors[j]
+        A = fs[j]
         assert np.max(np.abs(A @ A.T - sigma)) < 1e-10
         # row j is the unit vector in driver column 0
         assert A[j, 0] == pytest.approx(1.0)
@@ -47,9 +47,9 @@ def test_transform_identity_and_hand_product():
     # driver coordinates map to correlated ones as rows w -> w A^T, the way
     # the estimators apply the factors
     n = np.array([[0.3, -1.2, 2.0]])
-    assert np.allclose(n @ factorize_all(np.eye(3)).factors[0].T, n)
+    assert np.allclose(n @ factorize_all(np.eye(3))[0].T, n)
     sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
-    A = factorize_all(sigma).factors[1]
+    A = factorize_all(sigma)[1]
     y = np.array([[0.5, -1.0]]) @ A.T
     assert y[0, 1] == pytest.approx(0.5)              # row-2 passthrough
     assert y[0, 0] == pytest.approx(0.9 * 0.5 + np.sqrt(0.19) * -1.0)
@@ -62,7 +62,7 @@ def test_transform_preserves_marginals_and_covariance():
     n = 1_000_000
     draws = rng.standard_normal((n, 4))
     for j in (0, 2):
-        y = draws @ fs.factors[j].T
+        y = draws @ fs[j].T
         # unit row norms make each coordinate standard normal
         assert np.allclose(y.var(axis=0, ddof=1), 1.0, rtol=0.01)
         emp = np.cov(y.T)
@@ -80,7 +80,7 @@ def test_sphere_component_inequality():
         w = rng.standard_normal((2000, d))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         for j in range(d):
-            theta = w @ fs.factors[j].T
+            theta = w @ fs[j].T
             tj = theta[:, j]
             # 1 - tj^2 evaluated as the complement sum: identical in exact
             # arithmetic, no cancellation near |tj| = 1

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from tailrisk.errors import ValidationError
 from tailrisk.rootfind import (ExpSum, IntervalSet, exceedance_bounds,
-                               exceedance_set, psi_bounds)
+                               exceedance_set)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def brute_force_exceeds(h: ExpSum, level: float, xs: np.ndarray) -> np.ndarray:
@@ -64,19 +66,32 @@ def test_cosh_two_sided():
     assert all(min(abs(xs[k] - e) for e in endpoints(iset)) < 1e-6 for k in off)
 
 
+def psi_from_intervals(iset: IntervalSet) -> tuple[float, float]:
+    """(psi_lo, psi_hi) back from a real-domain exceedance set, with the
+    batched encoding: (+inf, -inf) for the whole line."""
+    if iset.intervals == ((-np.inf, np.inf),):
+        return np.inf, -np.inf
+    lo, hi = -np.inf, np.inf
+    for a, b in iset.intervals:
+        if a == -np.inf:
+            lo = b
+        else:
+            assert b == np.inf
+            hi = a
+    return lo, hi
+
+
 def test_psi_bounds_cases():
     inc = ExpSum(coeffs=[2.0, 1.0], slopes=[0.5, 1.5])
-    pb = psi_bounds(inc, 50.0)
-    assert pb.lower is None and pb.upper is not None and not pb.whole_line
+    (lo, hi), = exceedance_set(inc, 50.0).intervals
+    assert np.isfinite(lo) and hi == np.inf
 
     dec = ExpSum(coeffs=[2.0, 1.0], slopes=[-0.5, -1.5])
-    pb = psi_bounds(dec, 50.0)
-    assert pb.upper is None and pb.lower is not None and not pb.whole_line
+    (lo, hi), = exceedance_set(dec, 50.0).intervals
+    assert lo == -np.inf and np.isfinite(hi)
 
     # mixed sum whose minimum sits above the level: everything exceeds
     deep = ExpSum(coeffs=[10.0, 10.0], slopes=[-1.0, 1.0])
-    pb = psi_bounds(deep, 5.0)
-    assert pb.whole_line
     assert exceedance_set(deep, 5.0).intervals == ((-np.inf, np.inf),)
 
 
@@ -180,14 +195,12 @@ def test_batched_matches_scalar():
     lo, hi, ok = exceedance_bounds(logc, slopes, np.log(level))
     assert ok.all()
     for i, h in enumerate(hs):
-        pb = psi_bounds(h, level)
-        if pb.whole_line:
+        want_lo, want_hi = psi_from_intervals(exceedance_set(h, level))
+        if want_lo >= want_hi:
             assert lo[i] >= hi[i]
         else:
-            assert np.isclose(lo[i], -np.inf if pb.lower is None else pb.lower,
-                              atol=1e-9, rtol=1e-9, equal_nan=False)
-            assert np.isclose(hi[i], np.inf if pb.upper is None else pb.upper,
-                              atol=1e-9, rtol=1e-9, equal_nan=False)
+            assert np.isclose(lo[i], want_lo, atol=1e-9, rtol=1e-9, equal_nan=False)
+            assert np.isclose(hi[i], want_hi, atol=1e-9, rtol=1e-9, equal_nan=False)
 
 
 def test_near_degenerate_negative_slope():
