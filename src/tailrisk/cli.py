@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import NumericalAbortError, TailRiskError, ValidationError
 from .harness import FORMATTERS, compare, resolve_threads, variance_trend
-from .model import (LogNormalParams, ModelSpec, check_mak_condition,
-                    from_lognormal)
-from .tails import asymptotic_alpha, make_radial
+from .model import (LogNormalParams, ModelSpec, asymptotic_alpha,
+                    check_mak_condition, from_lognormal)
+from .tails import make_radial
 
 FULL_SCALE_N = 10_000_000
 

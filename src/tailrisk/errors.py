@@ -13,9 +13,5 @@ class ThresholdTooExtremeError(TailRiskError):
     """A marginal tail probability underflowed below the float floor (1e-300)."""
 
 
-class RootFindError(TailRiskError):
-    """The exceedance-equation solver failed to converge."""
-
-
 class NumericalAbortError(TailRiskError):
     """A run exceeded its numerical-failure budget and was aborted."""

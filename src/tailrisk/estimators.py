@@ -23,11 +23,13 @@ Estimators run only as block engines (:func:`make_engine`), which vectorize
 replications; every block of ``randsrc.BLOCK_SIZE`` replications always
 generates its full draw layout, so results are identical however a run is
 chunked.  Everything that depends only on (model, u) is computed once by
-:func:`make_context` as plain arrays: the factors, the stratification weights,
-the IS tuning and the per-stratum coefficients of the cores.  The
-conditional cores are pure functions of the context and the drawn
-coordinates, exposed separately (``*_values``) so tests can drive them with
-hand-picked inputs; each ends in one solve-and-measure step.
+:func:`make_context` as plain arrays: the factors, the stratification weights
+and the per-stratum coefficients of the cores.  The f_IS tuning belongs to
+``rn`` alone and is computed when its engine is built.  The conditional cores
+are pure functions of the context and the drawn coordinates, exposed
+separately (``*_values``) so tests can drive them with hand-picked inputs;
+each ends in one solve-and-measure step, a call to
+``rootfind.exceedance_bounds``.
 """
 
 from __future__ import annotations
@@ -98,10 +100,10 @@ class BlockResult(NamedTuple):
 class ReplicationContext:
     """Everything a replication needs that depends only on (model, u).
 
-    Immutable and shared read-only across workers; streams stay outside.
-    ``factors[j]`` is A^(j) (see ``linalg.factorize_all``), ``is_b`` the
-    per-stratum f_IS shape parameters for ``is_a``, and the (d, d) arrays are
-    indexed [stratum j, risk i].
+    Immutable and shared read-only across workers by every estimator;
+    streams stay outside.  ``factors[j]`` is A^(j) (see
+    ``linalg.factorize_all``), and the (d, d) arrays are indexed
+    [stratum j, risk i].
     """
 
     model: ModelSpec
@@ -109,8 +111,6 @@ class ReplicationContext:
     factors: np.ndarray      # (d, d, d)
     strat_weights: np.ndarray
     strat_total: float
-    is_a: float
-    is_b: np.ndarray
     log_u: float             # -inf for u <= 0
     loglam: np.ndarray       # log(lam_i), (d,)
     mak_slopes: np.ndarray   # bg_i * A^(j)[i, 0]
@@ -122,9 +122,9 @@ class ReplicationContext:
         return self.model.d
 
 
-def make_context(model: ModelSpec, u: float, is_a: float = 10.0) -> ReplicationContext:
-    """Precompute factorizations, stratification weights, IS tuning and the
-    per-stratum coefficients of the conditional cores.
+def make_context(model: ModelSpec, u: float) -> ReplicationContext:
+    """Precompute factorizations, stratification weights and the per-stratum
+    coefficients of the conditional cores.
 
     Underflowed marginal tails are kept as zeros here; ``make_engine``
     refuses every estimator but ``cmc`` when they all underflow.
@@ -137,8 +137,7 @@ def make_context(model: ModelSpec, u: float, is_a: float = 10.0) -> ReplicationC
     mak_slopes = model.bg * factors[:, :, 0]
     return ReplicationContext(
         model=model, u=u, factors=factors, strat_weights=weights,
-        strat_total=float(weights.sum()), is_a=float(is_a),
-        is_b=tails.is_tuning_b_vector(model, u, is_a),
+        strat_total=float(weights.sum()),
         log_u=float(np.log(u)) if u > 0 else -np.inf, loglam=loglam,
         mak_slopes=mak_slopes, e2_coeff=model.bg[:, None] - mak_slopes,
         dlog=loglam[None, :] - loglam[:, None])
@@ -219,13 +218,15 @@ def _radial_measure(ctx):
 
 
 def rn_conditional_values(ctx: ReplicationContext, j: int, theta_j: np.ndarray,
-                          rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                          rest: np.ndarray, a: float,
+                          b: float) -> tuple[np.ndarray, np.ndarray]:
     """Weighted conditional estimates given the driver sphere component.
 
     ``theta_j``: (m,) importance-sampled driver components in (-1, 1);
     ``rest``: (m, d-1) unit vectors (the conditional direction of the other
-    sphere coordinates).  Returns (values, converged) where values already
-    carry the importance weight f(theta)/f_IS(a, b_j, theta).
+    sphere coordinates); ``a, b``: the f_IS parameters theta_j was drawn
+    with.  Returns (values, converged) where values already carry the
+    importance weight f(theta)/f_IS(a, b, theta).
     """
     bg = ctx.model.bg
     theta_j = np.atleast_1d(np.asarray(theta_j, dtype=float))
@@ -233,7 +234,7 @@ def rn_conditional_values(ctx: ReplicationContext, j: int, theta_j: np.ndarray,
     u_sphere = randsrc.assemble_sphere_with_driver(theta_j, rest)
     theta = u_sphere @ ctx.factors[j].T                   # (mb, d), theta[:, j] == theta_j
     logw = (log_sphere_density(ctx.d, theta_j)
-            - log_is_density(ctx.is_a, float(ctx.is_b[j]), theta_j))
+            - log_is_density(a, b, theta_j))
     slopes = bg[None, :] * theta
     e2 = bg[j] * theta_j[:, None] - bg[None, :] * theta
     w_lo, w_hi, dead = _max_window(e2, np.broadcast_to(ctx.dlog[j], e2.shape), j, ctx.d)
@@ -381,7 +382,7 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind
     The returned callable maps (generator, block_rows) to the replication
     values for those rows; its draw layout is fixed by (estimator, model, u)
     so replication k sees the same randomness regardless of chunking.  An
-    ``rn`` kind must carry the ``a`` the context was tuned for (``is_a``).
+    ``rn`` engine tunes its f_IS shape parameters for ``kind.a`` here.
     Every kind but ``cmc``, whose zero is an honest hit count, raises
     ``ThresholdTooExtremeError`` where all marginal tails underflow.
     """
@@ -433,10 +434,6 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind
         return engine
 
     if kname == "rn":
-        if kind.a != ctx.is_a:
-            raise ValidationError(
-                f"rn(a={kind.a:g}) needs a context tuned for a={kind.a:g}; this "
-                f"one is tuned for a={ctx.is_a:g}")
         if d == 1:
             # no sphere component to reweight: the conditional probability is
             # the marginal tail itself, with zero variance (and the
@@ -448,12 +445,16 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind
 
             return engine
 
+        a = float(kind.a)
+        is_b = tails.is_tuning_b_vector(ctx.model, ctx.u, a)
+
         def core(gen, j, count):
-            theta_j = randsrc.beta_symmetric(gen, ctx.is_a, float(ctx.is_b[j]), count)
+            b = float(is_b[j])
+            theta_j = randsrc.beta_symmetric(gen, a, b, count)
             clamped = int(np.sum(np.abs(theta_j) >= _THETA_CLAMP))
             theta_j = np.clip(theta_j, -_THETA_CLAMP, _THETA_CLAMP)
             rest = randsrc.sphere_matrix(gen, count, d - 1)
-            vals, ok = rn_conditional_values(ctx, j, theta_j, rest)
+            vals, ok = rn_conditional_values(ctx, j, theta_j, rest, a, b)
             return vals, ok, clamped
 
         return _stratified_engine(ctx, core)

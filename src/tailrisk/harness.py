@@ -147,7 +147,7 @@ def run(model: ModelSpec, u: float, kind: EstimatorKind | str, n: int,
     if n < 2:
         raise ValidationError("need n >= 2 replications for a variance estimate")
     if ctx is None:
-        ctx = make_context(model, u, is_a=kind.a)
+        ctx = make_context(model, u)
     elif ctx.model is not model or ctx.u != float(u):
         raise ValidationError(
             f"ctx was built for another model or threshold (ctx.u={ctx.u:g}, u={u:g})")

@@ -11,7 +11,7 @@ the factorizations out of the replication loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,7 +132,7 @@ def reference_model(rho: float = 0.0, d: int = 10) -> ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# dominating index set
+# dominating index set and the first-order approximation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -140,23 +140,45 @@ class MaxIndexSet:
     """Indices attaining the maximal exponent slope, with tie bookkeeping.
 
     ``indices``: all j with beta_j = max beta (relative tie tolerance 1e-12).
-    ``dm``: count of indices attaining both the maximal slope and, among
-    those, the maximal weight lambda.
+    ``dominating``: the indices attaining both the maximal slope and, among
+    those, the maximal weight lambda; ``dm`` counts them.
     """
 
     indices: tuple[int, ...]
-    dm: int
+    dominating: tuple[int, ...]
     beta_max: float
     lam_max: float
+
+    @property
+    def dm(self) -> int:
+        return len(self.dominating)
 
 
 def max_index_set(m: ModelSpec) -> MaxIndexSet:
     beta_max = float(np.max(m.beta))
     on_max = np.isclose(m.beta, beta_max, rtol=_TIE_RTOL, atol=0.0)
     lam_max = float(np.max(m.lam[on_max]))
-    dm = int(np.sum(on_max & np.isclose(m.lam, lam_max, rtol=_TIE_RTOL, atol=0.0)))
-    return MaxIndexSet(indices=tuple(int(i) for i in np.where(on_max)[0]),
-                       dm=dm, beta_max=beta_max, lam_max=lam_max)
+    dom = on_max & np.isclose(m.lam, lam_max, rtol=_TIE_RTOL, atol=0.0)
+    return MaxIndexSet(indices=tuple(int(i) for i in np.flatnonzero(on_max)),
+                       dominating=tuple(int(i) for i in np.flatnonzero(dom)),
+                       beta_max=beta_max, lam_max=lam_max)
+
+
+class AsymptoticAlpha(NamedTuple):
+    full: float      # sum of all marginal tails
+    reduced: float   # sum over the dominating indices only
+
+
+def asymptotic_alpha(m: ModelSpec, u: float) -> AsymptoticAlpha:
+    """First-order approximation P(S(u) > u) ~ sum_i P(X_i(u) > u).
+
+    Returns both the full sum and the reduction to the dominating indices of
+    :func:`max_index_set`.  Known to be too crude for practical use; reported
+    as a diagnostic only.
+    """
+    marg = tails.marginal_tails(m, u, check=False)
+    keep = list(max_index_set(m).dominating)
+    return AsymptoticAlpha(full=float(marg.sum()), reduced=float(marg[keep].sum()))
 
 
 # ---------------------------------------------------------------------------

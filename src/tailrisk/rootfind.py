@@ -1,9 +1,10 @@
 """Exceedance sets of convex sums of exponentials.
 
-The kernel solves, for batches of instances at once, where
-``h(x) = sum_i c_i * exp(d_i * x)`` exceeds a level.  Convexity makes the
-exceedance set the complement of one interval, so it is fully described by a
-pair ``(psi_lo, psi_hi)``:
+:func:`exceedance_bounds` is the one entry point: it solves, for batches of
+instances at once, where ``h(x) = sum_i c_i * exp(d_i * x)`` exceeds a level
+(a single instance is a one-row batch).  Convexity makes the exceedance set
+the complement of one interval, so it is fully described by a pair
+``(psi_lo, psi_hi)``:
 
     {x : h(x) > level} = (-inf, psi_lo) u (psi_hi, +inf)
 
@@ -32,11 +33,7 @@ stops there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import RootFindError, ValidationError
 
 _X_RTOL = 1e-13          # relative stop on the Newton step
 _F_ATOL = 1e-13          # stop once log h(x) - log level is at most this
@@ -154,84 +151,3 @@ def exceedance_bounds(logc: np.ndarray, slopes: np.ndarray, log_level):
     psi_lo[whole] = np.inf
     psi_hi[whole] = -np.inf
     return psi_lo, psi_hi, ok
-
-
-# ---------------------------------------------------------------------------
-# scalar API
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExpSum:
-    """h(x) = sum_i coeffs_i * exp(slopes_i * x) with positive coefficients."""
-
-    coeffs: np.ndarray
-    slopes: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        s = np.atleast_1d(np.asarray(self.slopes, dtype=float))
-        if c.shape != s.shape or c.ndim != 1 or c.size == 0:
-            raise ValidationError("coeffs and slopes must be equal-length 1-d arrays")
-        if np.any(c <= 0.0) or not np.all(np.isfinite(c)) or not np.all(np.isfinite(s)):
-            raise ValidationError("ExpSum needs finite slopes and positive finite coefficients")
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "slopes", s)
-
-    def log_value(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return _lse_grad(np.log(self.coeffs)[None, :].repeat(x.size, axis=0),
-                         self.slopes[None, :].repeat(x.size, axis=0), x)[0]
-
-    def value(self, x):
-        out = np.exp(self.log_value(x))
-        return float(out[0]) if np.isscalar(x) else out
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Union of at most two disjoint half-open intervals [lo, hi)."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        iv = tuple((float(a), float(b)) for a, b in self.intervals if a < b)
-        if len(iv) > 2:
-            raise ValidationError("exceedance sets have at most two components")
-        for (a0, b0), (a1, b1) in zip(iv, iv[1:]):
-            if b0 > a1:
-                raise ValidationError("intervals must be disjoint and sorted")
-        object.__setattr__(self, "intervals", iv)
-
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(())
-
-    def contains(self, x: float) -> bool:
-        return any(a <= x < b for a, b in self.intervals)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-
-def exceedance_set(h: ExpSum, level: float, domain: str = "real") -> IntervalSet:
-    """{x in domain : h(x) > level} for domain "real" or "nonneg"."""
-    if domain not in ("real", "nonneg"):
-        raise ValidationError(f"domain must be 'real' or 'nonneg', got {domain!r}")
-    if level is None or not np.isfinite(level) or level <= 0.0:
-        raise ValidationError("level must be a positive finite real")
-    lo, hi, ok = exceedance_bounds(np.log(h.coeffs)[None, :], h.slopes[None, :],
-                                   np.log(level))
-    if not ok[0]:
-        raise RootFindError(
-            f"exceedance solve did not converge (level={level:g}, "
-            f"slopes={h.slopes}, coeffs={h.coeffs})")
-    lo, hi = float(lo[0]), float(hi[0])
-    left_edge = 0.0 if domain == "nonneg" else -np.inf
-    if lo >= hi:
-        return IntervalSet(((left_edge, np.inf),))
-    pieces = []
-    if lo > left_edge:
-        pieces.append((left_edge, lo))
-    pieces.append((max(hi, left_edge), np.inf))
-    return IntervalSet(tuple(p for p in pieces if p[0] < p[1]))

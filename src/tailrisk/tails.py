@@ -9,7 +9,7 @@ function ``nu``.  Heavy (regularly varying) radii are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy import integrate
@@ -255,27 +255,6 @@ def marginal_tail(m: "ModelSpec", i: int, u: float, check: bool = True) -> float
 def marginal_tails(m: "ModelSpec", u: float, check: bool = True) -> np.ndarray:
     """Vector of P(X_i(u) > u) over all risks."""
     return np.array([marginal_tail(m, i, u, check=check) for i in range(m.d)])
-
-
-class AsymptoticAlpha(NamedTuple):
-    full: float      # sum of all marginal tails
-    reduced: float   # sum over the dominating index set only
-
-
-def asymptotic_alpha(m: "ModelSpec", u: float) -> AsymptoticAlpha:
-    """First-order approximation P(S(u) > u) ~ sum_i P(X_i(u) > u).
-
-    Returns both the full sum and the reduction to indices attaining the
-    maximal exponent slope and, among those, the maximal weight.  Known to be
-    too crude for practical use; reported as a diagnostic only.
-    """
-    tails = marginal_tails(m, u, check=False)
-    beta_max = np.max(m.beta)
-    on_max = np.isclose(m.beta, beta_max, rtol=1e-12, atol=0.0)
-    lam_max = np.max(m.lam[on_max])
-    keep = on_max & np.isclose(m.lam, lam_max, rtol=1e-12, atol=0.0)
-    return AsymptoticAlpha(full=float(tails.sum()),
-                           reduced=float(tails[keep].sum()))
 
 
 # ---------------------------------------------------------------------------

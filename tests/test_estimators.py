@@ -2,21 +2,25 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 import tailrisk.estimators as est
+from tailrisk import tails
 from tailrisk.errors import NumericalAbortError, ValidationError
 from tailrisk.estimators import (EstimatorKind, ak_values,
                                  make_context, make_engine,
                                  mak_conditional_values, rn_conditional_values,
                                  zr_values)
 from tailrisk.harness import run
-from tailrisk.model import LogNormalParams, ModelSpec, from_lognormal
+from tailrisk.model import (LogNormalParams, ModelSpec, from_lognormal,
+                            reference_model)
 from tailrisk.randsrc import RngStream
-from tailrisk.tails import chi_radial, is_density, sphere_density
+from tailrisk.tails import (chi_radial, is_density, is_tuning_b_vector,
+                            sphere_density)
 from conftest import two_risk_model
 
 
@@ -166,17 +170,18 @@ def test_rn_conditional_correlated_oracle():
     root = brentq(lambda r: math.exp(t * r) + math.exp(th1 * r) - u,
                   0.0, 100.0, xtol=1e-13)
     tail = ctx.model.radial.tail
-    weight = float(sphere_density(2, t) / is_density(ctx.is_a,
-                                                     float(ctx.is_b[0]), t))
+    a = 10.0
+    b = float(is_tuning_b_vector(m, u, a)[0])
+    weight = float(sphere_density(2, t) / is_density(a, b, t))
     want = weight * float(tail(root))
     vals, ok = rn_conditional_values(ctx, 0, np.array([t]),
-                                     np.array([[-1.0]]))
+                                     np.array([[-1.0]]), a, b)
     assert ok.all()
     assert vals[0] == pytest.approx(want, rel=1e-9)
     # the +1 branch puts the other risk's direction above the driver's, the
     # max window collapses to {0}, and the value is exactly zero
     vals_up, ok_up = rn_conditional_values(ctx, 0, np.array([t]),
-                                           np.array([[1.0]]))
+                                           np.array([[1.0]]), a, b)
     assert ok_up.all() and vals_up[0] == 0.0
 
 
@@ -272,13 +277,12 @@ def test_rn_weight_factor_d3():
     # scale exactly like 1 / (2 f_IS(a, b, theta)) across (a, b) choices
     m = from_lognormal(LogNormalParams(mu=[0.0, 0.0, 0.0],
                                        sigma2=[1.0, 1.0, 1.0], rho=0.2))
-    base = make_context(m, 25.0)
+    ctx = make_context(m, 25.0)
     theta = np.array([0.55])
     rest = np.array([[0.8, -0.6]])
     outs = {}
     for a, b in [(1.0, 1.0), (10.0, 0.5), (3.0, 2.0)]:
-        ctx = dataclasses.replace(base, is_a=a, is_b=np.full(3, b))
-        vals, ok = rn_conditional_values(ctx, 0, theta, rest)
+        vals, ok = rn_conditional_values(ctx, 0, theta, rest, a, b)
         assert ok.all()
         outs[(a, b)] = vals[0]
     probs = {k: v * float(is_density(k[0], k[1], theta[0]))
@@ -289,17 +293,18 @@ def test_rn_weight_factor_d3():
     assert float(sphere_density(3, 0.1)) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_rn_uniform_is_matches_no_is():
+def test_rn_uniform_is_matches_no_is(monkeypatch):
     # f_IS(1,1) with an explicit weight must agree in mean with sampling the
     # true marginal (a = b = (d-1)/2 makes f_IS coincide with f, weight = 1)
     m = two_risk_model(rho=0.3)
     u = 12.0
-    base = make_context(m, u)
+    ctx = make_context(m, u)
     n = 400_000
     means = []
     ses = []
     for a, b in [(1.0, 1.0), (0.5, 0.5)]:
-        ctx = dataclasses.replace(base, is_a=a, is_b=np.full(2, b))
+        monkeypatch.setattr(tails, "is_tuning_b_vector",
+                            lambda model, u, a, b=b: np.full(2, b))
         vals = collect(make_engine(ctx, EstimatorKind("rn", a=a)), n, seed=12)
         means.append(vals.mean())
         ses.append(vals.std(ddof=1) / math.sqrt(n))
@@ -401,13 +406,40 @@ def test_generic_radial_zr_matches_cmc():
 # engine plumbing: tuning checks, redraws and clamps
 # ---------------------------------------------------------------------------
 
-def test_rn_rejects_context_tuned_for_another_a():
+def test_rn_tunes_its_own_f_is_on_a_shared_context():
+    # the context depends only on (model, u): the rn engine tunes f_IS for
+    # its own a, so a default context serves rn(a=5) bit for bit
     m = two_risk_model(rho=0.4)
     u = 12.0
-    with pytest.raises(ValidationError, match="a=5"):
-        run(m, u, "rn(a=5)", 100, seed=1, ctx=make_context(m, u))
-    assert run(m, u, "rn(a=5)", 100, seed=1,
-               ctx=make_context(m, u, is_a=5.0)).mean > 0.0
+    shared = run(m, u, "rn(a=5)", 100, seed=1, ctx=make_context(m, u))
+    own = run(m, u, "rn(a=5)", 100, seed=1)
+    assert (shared.mean, shared.per_rep_std, shared.flags) == (
+        own.mean, own.per_rep_std, own.flags)
+    assert shared.mean > 0.0
+    assert shared.mean != run(m, u, "rn", 100, seed=1).mean
+
+
+def test_only_rn_uses_the_is_tuning(monkeypatch):
+    def broken(*args):
+        raise AssertionError("f_IS tuning called outside the rn engine")
+
+    monkeypatch.setattr(tails, "is_tuning_b_vector", broken)
+    m = two_risk_model(rho=0.4)
+    ctx = make_context(m, 12.0)
+    for name in ("cmc", "ak", "mak", "zr"):
+        res = make_engine(ctx, EstimatorKind(name))(RngStream(2, 0).generator(), 64)
+        assert res.values.shape == (64,)
+    with pytest.raises(AssertionError, match="f_IS tuning"):
+        make_engine(ctx, EstimatorKind("rn"))
+
+
+def test_context_at_huge_threshold_is_silent():
+    # the f_IS tuning overflows u * log(u) at u = 1e308; only an rn engine
+    # tunes, so building a context stays silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ctx = make_context(reference_model(0.0), 1e308)
+    assert ctx.strat_total == 0.0
 
 
 @pytest.mark.parametrize("kind", ["mak", "zr", "rn"])
@@ -440,13 +472,13 @@ def test_root_failure_redraw_and_abort(monkeypatch, kind):
         make_engine(ctx, EstimatorKind(kind))(RngStream(5, 0).generator(), 8)
 
 
-def test_theta_clamps_counted_for_any_thread_count():
+def test_theta_clamps_counted_for_any_thread_count(monkeypatch):
     # b = 0.05 piles the f_IS mass against theta = 1, so draws hit the clamp;
     # every block counts its own clamps, so the total is the same at any
     # worker count
     m = two_risk_model(rho=0.4)
     ctx = make_context(m, 12.0)
-    ctx = dataclasses.replace(ctx, is_b=np.full(2, 0.05))
+    monkeypatch.setattr(tails, "is_tuning_b_vector", lambda model, u, a: np.full(2, 0.05))
     flags = [run(m, 12.0, "rn", 4 * 4096, seed=3, threads=t, ctx=ctx).flags
              for t in (1, 2)]
     clamps = [f for f in flags[0] if f.startswith("theta-clamped:")]

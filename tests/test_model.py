@@ -60,13 +60,13 @@ def test_max_index_set_full_tie():
     m = ModelSpec(lam=[1.0, 1.0, 1.0], beta=[1.0, 1.0, 1.0], gamma=1.0,
                   sigma=np.eye(3), radial=chi_radial(3))
     mis = max_index_set(m)
-    assert mis.indices == (0, 1, 2)
+    assert mis.indices == mis.dominating == (0, 1, 2)
     assert mis.dm == 3
 
 
 def test_max_index_set_bench():
     mis = max_index_set(reference_model(0.0))
-    assert mis.indices == (9,)
+    assert mis.indices == mis.dominating == (9,)
     assert mis.dm == 1
 
 
@@ -76,6 +76,7 @@ def test_max_index_set_partial_tie():
     mis = max_index_set(m)
     assert mis.indices == (0, 1)
     assert mis.dm == 1          # only lam = 5 attains the max among beta-ties
+    assert mis.dominating == (1,)
     # strict dominance outside the set
     for i in range(3):
         if i not in mis.indices:

@@ -6,141 +6,98 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailrisk.errors import ValidationError
-from tailrisk.rootfind import (ExpSum, IntervalSet, exceedance_bounds,
-                               exceedance_set)
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+from tailrisk.rootfind import exceedance_bounds
 
 
-def brute_force_exceeds(h: ExpSum, level: float, xs: np.ndarray) -> np.ndarray:
+def bounds(coeffs, slopes, level) -> tuple[float, float]:
+    """(psi_lo, psi_hi) of one instance, solved as a one-row batch."""
+    c = np.asarray(coeffs, dtype=float)
+    lo, hi, ok = exceedance_bounds(np.log(c)[None, :],
+                                   np.asarray(slopes, dtype=float)[None, :],
+                                   np.log(level))
+    assert ok.all()
+    return float(lo[0]), float(hi[0])
+
+
+def inside(lo, hi, x):
+    """Membership in (-inf, lo) u [hi, inf); the whole-line encoding
+    (+inf, -inf) holds every x, the empty one (-inf, +inf) none."""
+    x = np.asarray(x, dtype=float)
+    return (x < lo) | (x >= hi)
+
+
+def endpoints(lo, hi):
+    """The finite boundaries of a set that is not the whole line."""
+    return [] if lo >= hi else [e for e in (lo, hi) if np.isfinite(e)]
+
+
+def value(coeffs, slopes, x):
+    """h(x) in linear space, for one point."""
+    return float(np.sum(np.asarray(coeffs) * np.exp(np.asarray(slopes) * x)))
+
+
+def brute_force_exceeds(coeffs, slopes, level, xs: np.ndarray) -> np.ndarray:
     """Direct log-space evaluation of h(x) > level on a grid."""
-    z = np.log(h.coeffs)[None, :] + h.slopes[None, :] * xs[:, None]
+    z = np.log(coeffs)[None, :] + np.asarray(slopes)[None, :] * xs[:, None]
     logh = np.logaddexp.reduce(z, axis=1)
     return logh > np.log(level)
 
 
-def endpoints(iset: IntervalSet):
-    out = []
-    for a, b in iset.intervals:
-        if np.isfinite(a):
-            out.append(a)
-        if np.isfinite(b):
-            out.append(b)
-    return out
+def random_expsum(rng):
+    d = rng.integers(1, 11)
+    return rng.uniform(1e-3, 10.0, d), rng.uniform(-3.0, 3.0, d)
 
 
 def test_single_exponential_threshold():
-    h = ExpSum(coeffs=[1.0], slopes=[1.0])
     u = 123.0
-    iset = exceedance_set(h, u)
-    assert len(iset.intervals) == 1
-    lo, hi = iset.intervals[0]
-    assert hi == np.inf
-    assert lo == pytest.approx(np.log(u), abs=1e-12)
+    lo, hi = bounds([1.0], [1.0], u)
+    assert lo == -np.inf
+    assert hi == pytest.approx(np.log(u), abs=1e-12)
 
 
 def test_quadratic_in_exp_x():
     # e^x + e^{2x} = 6  <=>  y^2 + y - 6 = 0 with y = e^x  =>  y = 2
-    h = ExpSum(coeffs=[1.0, 1.0], slopes=[1.0, 2.0])
-    iset = exceedance_set(h, 6.0)
-    assert len(iset.intervals) == 1
-    assert iset.intervals[0][0] == pytest.approx(np.log(2.0), abs=1e-12)
+    lo, hi = bounds([1.0, 1.0], [1.0, 2.0], 6.0)
+    assert lo == -np.inf
+    assert hi == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_cosh_two_sided():
     # e^{-x} + e^{x} = 3 at x = +-log((3+sqrt(5))/2)
     root = 0.9624236501192069
-    h = ExpSum(coeffs=[1.0, 1.0], slopes=[-1.0, 1.0])
-    iset = exceedance_set(h, 3.0)
-    assert len(iset.intervals) == 2
-    (a0, b0), (a1, b1) = iset.intervals
-    assert a0 == -np.inf and b1 == np.inf
-    assert b0 == pytest.approx(-root, abs=1e-10)
-    assert a1 == pytest.approx(root, abs=1e-10)
+    c, s = [1.0, 1.0], [-1.0, 1.0]
+    lo, hi = bounds(c, s, 3.0)
+    assert lo == pytest.approx(-root, abs=1e-10)
+    assert hi == pytest.approx(root, abs=1e-10)
     # cross-check against a fine grid scan
     xs = np.arange(-5.0, 5.0, 1e-3)
-    want = brute_force_exceeds(h, 3.0, xs)
-    got = np.array([iset.contains(x) for x in xs])
+    want = brute_force_exceeds(c, s, 3.0, xs)
+    got = inside(lo, hi, xs)
     off = np.where(want != got)[0]
-    assert all(min(abs(xs[k] - e) for e in endpoints(iset)) < 1e-6 for k in off)
-
-
-def psi_from_intervals(iset: IntervalSet) -> tuple[float, float]:
-    """(psi_lo, psi_hi) back from a real-domain exceedance set, with the
-    batched encoding: (+inf, -inf) for the whole line."""
-    if iset.intervals == ((-np.inf, np.inf),):
-        return np.inf, -np.inf
-    lo, hi = -np.inf, np.inf
-    for a, b in iset.intervals:
-        if a == -np.inf:
-            lo = b
-        else:
-            assert b == np.inf
-            hi = a
-    return lo, hi
+    assert all(min(abs(xs[k] - e) for e in endpoints(lo, hi)) < 1e-6 for k in off)
 
 
 def test_psi_bounds_cases():
-    inc = ExpSum(coeffs=[2.0, 1.0], slopes=[0.5, 1.5])
-    (lo, hi), = exceedance_set(inc, 50.0).intervals
-    assert np.isfinite(lo) and hi == np.inf
-
-    dec = ExpSum(coeffs=[2.0, 1.0], slopes=[-0.5, -1.5])
-    (lo, hi), = exceedance_set(dec, 50.0).intervals
+    lo, hi = bounds([2.0, 1.0], [0.5, 1.5], 50.0)
     assert lo == -np.inf and np.isfinite(hi)
 
+    lo, hi = bounds([2.0, 1.0], [-0.5, -1.5], 50.0)
+    assert np.isfinite(lo) and hi == np.inf
+
     # mixed sum whose minimum sits above the level: everything exceeds
-    deep = ExpSum(coeffs=[10.0, 10.0], slopes=[-1.0, 1.0])
-    assert exceedance_set(deep, 5.0).intervals == ((-np.inf, np.inf),)
-
-
-def test_nonneg_domain_clipping():
-    h = ExpSum(coeffs=[1.0, 1.0], slopes=[-1.0, 1.0])
-    iset = exceedance_set(h, 3.0, domain="nonneg")
-    # the left branch lies entirely below zero except [0, -root) is empty:
-    # root ~ 0.962 so [0, 0.962...) belongs to the left exceedance piece? no:
-    # left piece is (-inf, -0.962), which misses [0, inf) entirely
-    assert len(iset.intervals) == 1
-    assert iset.intervals[0][0] == pytest.approx(0.9624236501192069, abs=1e-10)
+    assert bounds([10.0, 10.0], [-1.0, 1.0], 5.0) == (np.inf, -np.inf)
 
 
 def test_zero_slope_folding():
     # constant 5 + e^x > 6  <=>  e^x > 1  <=>  x > 0
-    h = ExpSum(coeffs=[5.0, 1.0], slopes=[0.0, 1.0])
-    iset = exceedance_set(h, 6.0)
-    assert iset.intervals[0][0] == pytest.approx(0.0, abs=1e-12)
+    c, s = [5.0, 1.0], [0.0, 1.0]
+    lo, hi = bounds(c, s, 6.0)
+    assert lo == -np.inf
+    assert hi == pytest.approx(0.0, abs=1e-12)
     # constant alone exceeds: whole line
-    assert exceedance_set(h, 4.0).intervals == ((-np.inf, np.inf),)
+    assert bounds(c, s, 4.0) == (np.inf, -np.inf)
     # pure constant below the level: empty set
-    flat = ExpSum(coeffs=[1.0], slopes=[0.0])
-    assert exceedance_set(flat, 2.0).is_empty
-
-
-def test_convexity_second_differences():
-    # spot-check h'' >= 0 through second differences on random instances
-    rng = np.random.default_rng(2005)
-    for _ in range(25):
-        h = random_expsum(rng)
-        xs = rng.uniform(-10.0, 10.0, 30)
-        step = 1e-3
-        d2 = h.value(xs + step) - 2.0 * h.value(xs) + h.value(xs - step)
-        assert np.all(d2 >= -1e-9 * np.abs(h.value(xs)))
-
-
-def test_validation():
-    with pytest.raises(ValidationError):
-        ExpSum(coeffs=[1.0, -1.0], slopes=[1.0, 2.0])
-    with pytest.raises(ValidationError):
-        exceedance_set(ExpSum(coeffs=[1.0], slopes=[1.0]), -3.0)
-    with pytest.raises(ValidationError):
-        exceedance_set(ExpSum(coeffs=[1.0], slopes=[1.0]), 3.0, domain="weird")
-
-
-def random_expsum(rng):
-    d = rng.integers(1, 11)
-    return ExpSum(coeffs=rng.uniform(1e-3, 10.0, d),
-                  slopes=rng.uniform(-3.0, 3.0, d))
+    assert bounds([1.0], [0.0], 2.0) == (-np.inf, np.inf)
 
 
 def test_grid_scan_agreement_sample():
@@ -148,15 +105,12 @@ def test_grid_scan_agreement_sample():
     rng = np.random.default_rng(2001)
     xs = np.arange(-50.0, 50.0, 1e-3)
     for _ in range(60):
-        h = random_expsum(rng)
+        c, s = random_expsum(rng)
         level = float(rng.uniform(0.5, 50.0))
-        iset = exceedance_set(h, level)
-        want = brute_force_exceeds(h, level, xs)
-        eps = endpoints(iset)
-        got = np.zeros(xs.size, dtype=bool)
-        for a, b in iset.intervals:
-            got |= (xs >= a) & (xs < b)
-        off = np.where(want != got)[0]
+        lo, hi = bounds(c, s, level)
+        want = brute_force_exceeds(c, s, level, xs)
+        eps = endpoints(lo, hi)
+        off = np.where(want != inside(lo, hi, xs))[0]
         for k in off:
             assert eps and min(abs(xs[k] - e) for e in eps) < 1e-6
 
@@ -164,38 +118,36 @@ def test_grid_scan_agreement_sample():
 def test_endpoint_residuals():
     rng = np.random.default_rng(2002)
     for _ in range(200):
-        h = random_expsum(rng)
+        c, s = random_expsum(rng)
         level = float(rng.uniform(0.5, 50.0))
-        for e in endpoints(exceedance_set(h, level)):
-            assert abs(h.value(e) - level) <= 1e-8 * level
+        for e in endpoints(*bounds(c, s, level)):
+            assert abs(value(c, s, e) - level) <= 1e-8 * level
 
 
 def test_monotone_in_level():
     rng = np.random.default_rng(2003)
     xs = np.linspace(-30, 30, 4001)
     for _ in range(40):
-        h = random_expsum(rng)
-        lo_set = exceedance_set(h, 2.0)
-        hi_set = exceedance_set(h, 20.0)
-        inside_hi = np.array([hi_set.contains(x) for x in xs])
-        inside_lo = np.array([lo_set.contains(x) for x in xs])
+        c, s = random_expsum(rng)
+        inside_lo = inside(*bounds(c, s, 2.0), xs)
+        inside_hi = inside(*bounds(c, s, 20.0), xs)
         assert not np.any(inside_hi & ~inside_lo)
 
 
 def test_batched_matches_scalar():
     rng = np.random.default_rng(2004)
     hs = [random_expsum(rng) for _ in range(50)]
-    d = max(h.coeffs.size for h in hs)
+    d = max(c.size for c, _ in hs)
     logc = np.full((len(hs), d), -np.inf)
     slopes = np.zeros((len(hs), d))
-    for i, h in enumerate(hs):
-        logc[i, :h.coeffs.size] = np.log(h.coeffs)
-        slopes[i, :h.coeffs.size] = h.slopes
+    for i, (c, s) in enumerate(hs):
+        logc[i, :c.size] = np.log(c)
+        slopes[i, :c.size] = s
     level = 7.5
     lo, hi, ok = exceedance_bounds(logc, slopes, np.log(level))
     assert ok.all()
-    for i, h in enumerate(hs):
-        want_lo, want_hi = psi_from_intervals(exceedance_set(h, level))
+    for i, (c, s) in enumerate(hs):
+        want_lo, want_hi = bounds(c, s, level)
         if want_lo >= want_hi:
             assert lo[i] >= hi[i]
         else:
@@ -208,26 +160,22 @@ def test_near_degenerate_negative_slope():
     # sits far out and the bracket endpoint residual rounds to zero, which
     # must not confuse the solve (regression: the left root once collapsed
     # onto the interior minimizer)
-    h = ExpSum(coeffs=[8.07150192, 3.01350545],
-               slopes=[0.65169533, -0.03767282])
+    c, s = [8.07150192, 3.01350545], [0.65169533, -0.03767282]
     level = 23.6185
-    iset = exceedance_set(h, level)
-    assert len(iset.intervals) == 2
-    left_end = iset.intervals[0][1]
-    assert left_end < -50.0
-    assert abs(h.value(left_end) - level) <= 1e-8 * level
-    assert not iset.contains(-30.0)          # between the branches
+    lo, hi = bounds(c, s, level)
+    assert np.isfinite(lo) and np.isfinite(hi) and lo < hi
+    assert lo < -50.0
+    assert abs(value(c, s, lo) - level) <= 1e-8 * level
+    assert not inside(lo, hi, -30.0)          # between the branches
 
 
 def test_huge_levels_stay_in_log_space():
     # levels at the e^40+ scale must not overflow: everything runs on logs
-    h = ExpSum(coeffs=[1e-4, 2.0, 5.0], slopes=[3.0, 0.7, 1.3])
-    iset = exceedance_set(h, 5e5)
-    lo = iset.intervals[0][0]
-    assert np.isfinite(lo)
-    assert abs(h.value(lo) - 5e5) <= 1e-8 * 5e5
-    big = exceedance_set(h, 1e280)
-    assert np.isfinite(big.intervals[0][0])
+    c, s = [1e-4, 2.0, 5.0], [3.0, 0.7, 1.3]
+    lo, hi = bounds(c, s, 5e5)
+    assert lo == -np.inf and np.isfinite(hi)
+    assert abs(value(c, s, hi) - 5e5) <= 1e-8 * 5e5
+    assert np.isfinite(bounds(c, s, 1e280)[1])
 
 
 # ---------------------------------------------------------------------------

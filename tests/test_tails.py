@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from tailrisk import reference_model
+from tailrisk import asymptotic_alpha, reference_model
 from tailrisk.errors import ThresholdTooExtremeError, ValidationError
-from tailrisk.tails import (asymptotic_alpha, chi_radial, estar_hazard_single,
-                            estar_single, exp_power_radial, is_density,
-                            is_tuning_b, is_tuning_b_vector, make_radial,
-                            marginal_tail, marginal_tail_single,
-                            marginal_tails, normal_tail, sphere_density,
-                            sphere_expectation)
+from tailrisk.tails import (chi_radial, estar_hazard_single, estar_single,
+                            exp_power_radial, is_density, is_tuning_b,
+                            is_tuning_b_vector, make_radial, marginal_tail,
+                            marginal_tail_single, marginal_tails, normal_tail,
+                            sphere_density, sphere_expectation)
 from conftest import two_risk_model
 
 mp.mp.dps = 30
