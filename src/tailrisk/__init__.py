@@ -8,10 +8,10 @@ from .harness import RunStats, compare, run, variance_trend
 from .linalg import factorize_all
 from .model import (LogNormalParams, MaxIndexSet, ModelSpec, asymptotic_alpha,
                     check_mak_condition, equicorrelation, from_lognormal,
-                    max_index_set, reference_model, to_lognormal)
+                    max_index_set, reference_model)
 from .randsrc import RngStream
-from .tails import (RadialLaw, chi_radial, exp_power_radial, is_density,
-                    make_radial, marginal_tail, normal_tail, sphere_density)
+from .tails import (RadialLaw, chi_radial, exp_power_radial, make_radial,
+                    normal_tail)
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,6 @@ __all__ = [
     "RunStats", "TailRiskError", "ThresholdTooExtremeError", "ValidationError",
     "asymptotic_alpha", "check_mak_condition", "chi_radial", "compare",
     "equicorrelation", "exp_power_radial", "factorize_all", "from_lognormal",
-    "is_density", "make_context", "make_radial", "marginal_tail",
-    "max_index_set", "normal_tail", "reference_model", "run", "sphere_density",
-    "to_lognormal", "variance_trend",
+    "make_context", "make_radial", "max_index_set", "normal_tail",
+    "reference_model", "run", "variance_trend",
 ]

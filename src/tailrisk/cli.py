@@ -69,8 +69,13 @@ def _parse_u_list(text: str) -> list[float]:
         raise ValidationError(f"cannot parse threshold list {text!r}") from None
 
 
-def _common_flags(sub: argparse.ArgumentParser):
+def _config_flag(sub: argparse.ArgumentParser):
     sub.add_argument("--config", required=True, help="JSON config path")
+
+
+def _run_flags(sub: argparse.ArgumentParser):
+    """--config plus the replication flags of the subcommands that simulate."""
+    _config_flag(sub)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--threads", default=None, help="worker count or 'auto'")
@@ -84,7 +89,7 @@ def _make_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_run = subs.add_parser("run", help="run an estimator comparison table")
-    _common_flags(p_run)
+    _run_flags(p_run)
     p_run.add_argument("--u", default=None, help="comma-separated thresholds")
     p_run.add_argument("--out", default=None, help="output path (default stdout)")
     p_run.add_argument("--format", choices=sorted(FORMATTERS), default=None)
@@ -93,22 +98,31 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_check = subs.add_parser(
         "check", help="evaluate the vanishing-relative-error condition on a grid")
-    _common_flags(p_check)
+    _config_flag(p_check)
     p_check.add_argument("--u", required=True, help="comma-separated thresholds")
     p_check.add_argument("--c", type=float, default=1.0)
     p_check.add_argument("--eps", type=float, default=0.5)
 
     p_asym = subs.add_parser(
         "asymptotic", help="print the first-order sum-of-marginals approximation")
-    _common_flags(p_asym)
+    _config_flag(p_asym)
     p_asym.add_argument("--u", required=True, help="comma-separated thresholds")
 
     p_trend = subs.add_parser(
         "trend", help="variation-coefficient growth along a threshold grid")
-    _common_flags(p_trend)
+    _run_flags(p_trend)
     p_trend.add_argument("--u", required=True, help="comma-separated thresholds")
     p_trend.add_argument("--estimator", default="mak")
     return parser
+
+
+def _replication_settings(args, cfg: dict) -> tuple[int, int, int]:
+    """(n, seed, threads): each flag overrides its config entry."""
+    n = args.n if args.n is not None else int(cfg.get("n", 100_000))
+    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    threads = resolve_threads(args.threads if args.threads is not None
+                              else cfg.get("threads"))
+    return n, seed, threads
 
 
 def _cmd_run(args) -> int:
@@ -121,15 +135,12 @@ def _cmd_run(args) -> int:
     if not us:
         raise ValidationError("no thresholds given (config 'u' or --u)")
     kinds = cfg.get("estimators", ["cmc", "mak", "rn"])
-    n = args.n if args.n is not None else int(cfg.get("n", 100_000))
+    n, seed, threads = _replication_settings(args, cfg)
     cmc_n = cfg.get("cmc_n")
     cmc_n = int(cmc_n) if cmc_n else None
     if args.full:
         n = FULL_SCALE_N
         cmc_n = FULL_SCALE_N
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    threads = resolve_threads(args.threads if args.threads is not None
-                              else cfg.get("threads"))
     out_cfg = cfg.get("output", {})
     fmt = args.format or out_cfg.get("format", "csv")
     if fmt not in FORMATTERS:
@@ -174,10 +185,7 @@ def _cmd_asymptotic(args) -> int:
 def _cmd_trend(args) -> int:
     cfg = _load_config(args.config)
     model, _ = _build_model(cfg)
-    n = args.n if args.n is not None else int(cfg.get("n", 100_000))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    threads = resolve_threads(args.threads if args.threads is not None
-                              else cfg.get("threads"))
+    n, seed, threads = _replication_settings(args, cfg)
     report = variance_trend(model, args.estimator, _parse_u_list(args.u),
                             n=n, seed=seed, threads=threads)
     print(f"{'u':>12}  {'cv':>12}")

@@ -10,7 +10,10 @@ class ValidationError(TailRiskError):
 
 
 class ThresholdTooExtremeError(TailRiskError):
-    """A marginal tail probability underflowed below the float floor (1e-300)."""
+    """Every marginal tail underflowed at u: no estimator but ``cmc`` can run.
+
+    Raised by ``estimators.make_engine``, the one range rule of the package.
+    """
 
 
 class NumericalAbortError(TailRiskError):

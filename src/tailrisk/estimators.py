@@ -132,7 +132,7 @@ def make_context(model: ModelSpec, u: float) -> ReplicationContext:
     if u < 0:
         raise ValidationError("threshold u must be nonnegative")
     factors = factorize_all(model.sigma)
-    weights = tails.marginal_tails(model, u, check=False)
+    weights = tails.marginal_tails(model, u)
     loglam = np.log(model.lam)
     mak_slopes = model.bg * factors[:, :, 0]
     return ReplicationContext(
@@ -158,12 +158,15 @@ def _normal_measure(lo, hi):
 
 def _solve_and_measure(ctx, logk, slopes, w_lo, w_hi, dead, measure):
     """Measure of {t : sum_i exp(logk_i + slopes_i t) > u} within the window
-    [w_lo, w_hi), zero on ``dead`` or empty windows.  Returns (values, ok)."""
+    [w_lo, w_hi), zero on ``dead`` or empty windows.  Returns (values, ok).
+
+    Raising psi_hi to psi_lo leaves disjoint pieces as they are and turns the
+    whole-line encoding (+inf, -inf) into one left piece covering the window.
+    """
     psi_lo, psi_hi, ok = exceedance_bounds(logk, slopes, ctx.log_u)
-    whole = psi_lo >= psi_hi
-    left = measure(w_lo, np.minimum(psi_lo, w_hi))
-    right = measure(np.maximum(psi_hi, w_lo), w_hi)
-    vals = np.where(whole, measure(w_lo, w_hi), left + right)
+    psi_hi = np.maximum(psi_hi, psi_lo)
+    vals = (measure(w_lo, np.minimum(psi_lo, w_hi))
+            + measure(np.maximum(psi_hi, w_lo), w_hi))
     return np.where(dead | (w_lo >= w_hi), 0.0, vals), ok
 
 
@@ -286,7 +289,7 @@ def _marginal_tail_at(ctx: ReplicationContext, k, x: np.ndarray) -> np.ndarray:
         return normal_tail((np.log(x) - np.log(lam)) / bg)
     return np.array([
         tails.marginal_tail_single(float(xi_), float(l), float(b), m.radial,
-                                   d=ctx.d, check=False)
+                                   d=ctx.d)
         for xi_, l, b in np.broadcast(x, lam, bg)
     ])
 

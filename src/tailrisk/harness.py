@@ -56,12 +56,12 @@ class RunStats:
 class _Moments:
     """Exactly mergeable running moments: per-block sums, fsum at the end."""
 
-    def __init__(self, n=0, sums=None, sumsqs=None, failures=0, clamped=0):
-        self.n = n
-        self.sums: list[float] = sums if sums is not None else []
-        self.sumsqs: list[float] = sumsqs if sumsqs is not None else []
-        self.failures = failures
-        self.clamped = clamped
+    def __init__(self):
+        self.n = 0
+        self.sums: list[float] = []
+        self.sumsqs: list[float] = []
+        self.failures = 0
+        self.clamped = 0
 
     def add_block(self, values: np.ndarray, failures: int, clamped: int):
         self.n += values.size
@@ -69,16 +69,6 @@ class _Moments:
         self.sumsqs.append(float(np.sum(np.square(values))))
         self.failures += failures
         self.clamped += clamped
-
-    def merge(self, other: "_Moments") -> "_Moments":
-        return _Moments(self.n + other.n, self.sums + other.sums,
-                        self.sumsqs + other.sumsqs,
-                        self.failures + other.failures,
-                        self.clamped + other.clamped)
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.sums)
 
     def mean_var(self) -> tuple[float, float]:
         s = math.fsum(self.sums)
@@ -203,8 +193,9 @@ def compare(model: ModelSpec, rhos: Sequence, us: Sequence[float],
             threads: int = 1) -> list[TableRow]:
     """One RunStats row per (estimator, correlation, threshold).
 
-    The CMC row of each (rho, u) cell is computed first and used as that
-    cell's efficiency baseline; without a CMC row efficiencies stay empty.
+    Each (rho, u) cell builds one context that all its estimators share.
+    The CMC row of each cell is computed first and used as that cell's
+    efficiency baseline; without a CMC row efficiencies stay empty.
     """
     kinds = [EstimatorKind.parse(k) for k in kinds]
     rows: list[TableRow] = []
@@ -213,13 +204,14 @@ def compare(model: ModelSpec, rhos: Sequence, us: Sequence[float],
         label = f"{float(rho_arr):g}" if rho_arr.ndim == 0 else "custom"
         m = model.with_correlation(rho)
         for u in us:
+            ctx = make_context(m, u)
             # CMC first so its variance and clock anchor the efficiency column
             ordered = sorted(kinds, key=lambda k: k.name != "cmc")
             cell: dict[str, RunStats] = {}
             baseline = None
             for kind in ordered:
                 reps = cmc_n if (kind.name == "cmc" and cmc_n) else n
-                stats = run(m, u, kind, reps, seed, threads=threads)
+                stats = run(m, u, kind, reps, seed, threads=threads, ctx=ctx)
                 if kind.name == "cmc":
                     stats = attach_efficiency(stats, stats)
                     baseline = stats

@@ -114,15 +114,8 @@ def from_lognormal(p: LogNormalParams) -> ModelSpec:
     lambda_i = exp(mu_i), beta_i = sqrt(sigma2_i), gamma = 1 and the radial
     law is the chi square root of the dimension (Gaussian case).
     """
-    sigma = validate_correlation(p.correlation())
     return ModelSpec(lam=np.exp(p.mu), beta=np.sqrt(p.sigma2), gamma=1.0,
-                     sigma=sigma, radial=chi_radial(p.mu.size))
-
-
-def to_lognormal(m: ModelSpec) -> LogNormalParams:
-    """Extract the log-normal parametrization (inverse of from_lognormal)."""
-    return LogNormalParams(mu=np.log(m.lam), sigma2=np.square(m.bg),
-                           rho=m.sigma.copy())
+                     sigma=p.correlation(), radial=chi_radial(p.mu.size))
 
 
 def reference_model(rho: float = 0.0, d: int = 10) -> ModelSpec:
@@ -141,17 +134,13 @@ class MaxIndexSet:
 
     ``indices``: all j with beta_j = max beta (relative tie tolerance 1e-12).
     ``dominating``: the indices attaining both the maximal slope and, among
-    those, the maximal weight lambda; ``dm`` counts them.
+    those, the maximal weight lambda.
     """
 
     indices: tuple[int, ...]
     dominating: tuple[int, ...]
     beta_max: float
     lam_max: float
-
-    @property
-    def dm(self) -> int:
-        return len(self.dominating)
 
 
 def max_index_set(m: ModelSpec) -> MaxIndexSet:
@@ -176,7 +165,7 @@ def asymptotic_alpha(m: ModelSpec, u: float) -> AsymptoticAlpha:
     :func:`max_index_set`.  Known to be too crude for practical use; reported
     as a diagnostic only.
     """
-    marg = tails.marginal_tails(m, u, check=False)
+    marg = tails.marginal_tails(m, u)
     keep = list(max_index_set(m).dominating)
     return AsymptoticAlpha(full=float(marg.sum()), reduced=float(marg[keep].sum()))
 

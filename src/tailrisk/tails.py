@@ -1,5 +1,8 @@
-"""Analytic tail machinery: normal tails, radial laws, sphere densities,
-marginal exceedance probabilities and the importance-sampling tuning.
+"""Analytic tail machinery: normal tails, radial laws, log sphere and f_IS
+densities, marginal exceedance probabilities and the importance-sampling
+tuning.  An underflowed marginal tail is returned as 0 (the range rule lives
+in ``estimators.make_engine``), and scipy's quadrature and root finder are
+imported only by the functions that call them.
 
 All radial laws here live in the Gumbel max-domain of attraction: the tail
 satisfies (1 - F(x + s*nu(x))) / (1 - F(x)) -> exp(-s) for the law's scaling
@@ -12,17 +15,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
 from scipy.special import digamma, gammaincc, gammainccinv, gammaln, ndtr
 
-from .errors import ThresholdTooExtremeError, ValidationError
+from .errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ModelSpec
 
 _QUAD_RTOL = 1e-11
-_UNDERFLOW_FLOOR = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +166,6 @@ def log_sphere_density(d: int, theta) -> np.ndarray:
         return const + ex * np.log1p(-np.square(theta))
 
 
-def sphere_density(d: int, theta) -> np.ndarray:
-    """Density f(theta) of a single sphere coordinate on (-1, 1).
-
-    For d = 2 the density is 1/(pi*sqrt(1-theta^2)), unbounded at the
-    endpoints; quadrature against it should use :func:`sphere_expectation`,
-    which substitutes away the singularity.
-    """
-    return np.exp(log_sphere_density(d, theta))
-
-
 def log_is_density(a: float, b: float, x) -> np.ndarray:
     """log f_IS(a, b, x): the affinely mapped Beta(a, b) density on (-1, 1)."""
     if a <= 0 or b <= 0:
@@ -185,17 +175,14 @@ def log_is_density(a: float, b: float, x) -> np.ndarray:
             - gammaln(b) + (a - 1.0) * np.log1p(x) + (b - 1.0) * np.log1p(-x))
 
 
-def is_density(a: float, b: float, x) -> np.ndarray:
-    """Importance density f_IS(a, b, x) on (-1, 1)."""
-    return np.exp(log_is_density(a, b, x))
-
-
 def sphere_expectation(fn: Callable[[float], float], d: int) -> float:
     """Integral of fn(theta) * f(theta) over (-1, 1).
 
     Substitutes theta = 1 - t^2 (and the mirror image) so the d = 2 endpoint
     singularity integrates cleanly; for d >= 3 the substitution is harmless.
     """
+    from scipy import integrate
+
     c = np.exp(gammaln(0.5 * d) - 0.5 * np.log(np.pi) - gammaln(0.5 * (d - 1)))
     ex = 0.5 * (d - 3)
 
@@ -216,7 +203,7 @@ def sphere_expectation(fn: Callable[[float], float], d: int) -> float:
 # ---------------------------------------------------------------------------
 
 def marginal_tail_single(u: float, lam: float, bg: float, radial: RadialLaw,
-                         d: int | None = None, check: bool = True) -> float:
+                         d: int | None = None) -> float:
     """P(lam * exp(bg * R * Theta) > u) for one risk.
 
     Gaussian radial: the exact normal tail.  Generic radial (needs the
@@ -239,22 +226,13 @@ def marginal_tail_single(u: float, lam: float, bg: float, radial: RadialLaw,
         else:
             p = 1.0 - sphere_expectation(
                 lambda th: float(radial.tail(-w / th)) if th > 0 else 0.0, d)
-    if check and p < _UNDERFLOW_FLOOR:
-        raise ThresholdTooExtremeError(
-            f"marginal tail underflowed below {_UNDERFLOW_FLOOR:g} at u={u:g} "
-            f"(lam={lam:g}, beta*gamma={bg:g})")
     return p
 
 
-def marginal_tail(m: "ModelSpec", i: int, u: float, check: bool = True) -> float:
-    """P(X_i(u) > u) for risk ``i`` of the model."""
-    return marginal_tail_single(u, float(m.lam[i]), float(m.beta[i] * m.gamma),
-                                m.radial, d=m.d, check=check)
-
-
-def marginal_tails(m: "ModelSpec", u: float, check: bool = True) -> np.ndarray:
+def marginal_tails(m: "ModelSpec", u: float) -> np.ndarray:
     """Vector of P(X_i(u) > u) over all risks."""
-    return np.array([marginal_tail(m, i, u, check=check) for i in range(m.d)])
+    return np.array([marginal_tail_single(u, float(lam), float(bg), m.radial, d=m.d)
+                     for lam, bg in zip(m.lam, m.bg)])
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +292,13 @@ def is_tuning_b(u: float, lam: float, bg: float, radial: RadialLaw,
 
     if fn(cap) <= 0.0:       # optimum above the cap
         return cap
+    from scipy.optimize import brentq
+
     b = brentq(fn, 1e-9, cap, xtol=1e-12, rtol=1e-12)
     return float(max(b, 0.05))
 
 
 def is_tuning_b_vector(m: "ModelSpec", u: float, a: float) -> np.ndarray:
     """Per-stratum IS shape parameters b_j (each from that index's lam, beta)."""
-    return np.array([
-        is_tuning_b(u, float(m.lam[j]), float(m.beta[j] * m.gamma),
-                    m.radial, a, m.d)
-        for j in range(m.d)
-    ])
+    return np.array([is_tuning_b(u, float(lam), float(bg), m.radial, a, m.d)
+                     for lam, bg in zip(m.lam, m.bg)])

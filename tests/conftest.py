@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tailrisk import LogNormalParams, from_lognormal, reference_model
+from tailrisk.tails import log_is_density, log_sphere_density
 
 # acceptance criteria register their PASS/FAIL lines here; printed at the end
 ACCEPTANCE_RESULTS: list[tuple[str, str, bool, str]] = []
@@ -27,6 +28,20 @@ def two_risk_model(rho=0.0, sigma2=(1.0, 1.0), mu=(0.0, 0.0)):
     return from_lognormal(LogNormalParams(mu=np.array(mu, dtype=float),
                                           sigma2=np.array(sigma2, dtype=float),
                                           rho=rho))
+
+
+def sphere_density(d, theta):
+    """Density f(theta) of one uniform-sphere coordinate on (-1, 1).
+
+    For d = 2 it is 1/(pi*sqrt(1-theta^2)), unbounded at the endpoints;
+    quadrature against it should use ``tails.sphere_expectation``.
+    """
+    return np.exp(log_sphere_density(d, theta))
+
+
+def is_density(a, b, x):
+    """Importance density f_IS(a, b, x) on (-1, 1)."""
+    return np.exp(log_is_density(a, b, x))
 
 
 def run_mean_se(values):

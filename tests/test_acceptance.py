@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 
 import conftest
 from tailrisk.estimators import (EstimatorKind, make_context, make_engine,
@@ -20,9 +21,8 @@ from tailrisk.linalg import factorize_all
 from tailrisk.model import equicorrelation, reference_model
 from tailrisk.randsrc import RngStream
 from tailrisk.rootfind import exceedance_bounds
-from tailrisk.tails import (chi_radial, is_density, is_tuning_b,
-                            sphere_density, sphere_expectation)
-from conftest import two_risk_model
+from tailrisk.tails import chi_radial, is_tuning_b, sphere_expectation
+from conftest import is_density, sphere_density, two_risk_model
 
 SEED = 74205
 N_EST = 100_000
@@ -123,15 +123,34 @@ def test_criterion_4_cv_trend(grid_runs):
            f"cv path {[f'{c:.4f}' for c in cvs]}, final < 0.01")
 
 
+# alpha(15) for the two d = 2 unbiasedness models by 30-digit mpmath
+# quadrature of the integral in d2_oracle
+D2_EXACT = {"indep": 0.0100442851505414, "corr": 0.0154496238334271}
+
+
 @pytest.fixture(scope="module")
 def d2_oracle():
-    """1e7-replication crude oracle for the two d=2 unbiasedness models."""
+    """Exact alpha(u) at u = 15 for the two d = 2 unbiasedness models.
+
+    With X_i = exp(N_i) and N2 = rho N1 + sqrt(1 - rho^2) Z, conditioning on
+    N1 = x leaves P(N2 > log(u - e^x) | x) for x < log u, so alpha(u) is
+    P(N1 > log u) plus a 1-D integral, evaluated here by quadrature.
+    """
     out = {}
+    u = 15.0
+    log_u = math.log(u)
     for tag, rho in [("indep", 0.0), ("corr", 0.5)]:
-        m = two_risk_model(rho=rho)
-        u = 15.0
-        stats = run(m, u, "cmc", 10_000_000, seed=SEED + 900)
-        out[tag] = (m, u, stats)
+        s = math.sqrt(1.0 - rho * rho)
+
+        def integrand(x, rho=rho, s=s):
+            cond = ndtr(-(math.log(u - math.exp(x)) - rho * x) / s)
+            return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * cond
+
+        body, _ = integrate.quad(integrand, -np.inf, log_u, epsabs=0.0,
+                                 epsrel=1e-13, limit=200)
+        alpha = body + ndtr(-log_u)
+        assert alpha == pytest.approx(D2_EXACT[tag], rel=1e-13)
+        out[tag] = (two_risk_model(rho=rho), u, alpha)
     return out
 
 
@@ -140,17 +159,16 @@ def test_criterion_5_unbiasedness(d2_oracle):
     fails = []
     details = []
     for tag in ("indep", "corr"):
-        m, u, cmc = d2_oracle[tag]
-        assert 5e-3 <= cmc.mean <= 5e-2, "oracle alpha outside the target band"
+        m, u, alpha = d2_oracle[tag]
+        assert 5e-3 <= alpha <= 5e-2, "oracle alpha outside the target band"
         kinds = ["mak", "rn", "zr"] + (["ak"] if tag == "indep" else [])
         for i, kind in enumerate(kinds):
             stats = run(m, u, kind, n, seed=SEED + 30 + i)
-            se = math.hypot(stats.se_of_mean, cmc.se_of_mean)
-            z = (stats.mean - cmc.mean) / se
+            z = (stats.mean - alpha) / stats.se_of_mean
             details.append(f"{tag}/{kind}: z={z:+.2f}")
             if abs(z) > 4.0:
                 fails.append(f"{tag}/{kind}")
-    record("5", "d=2 unbiasedness vs 1e7 crude oracle", not fails,
+    record("5", "d=2 unbiasedness vs exact 1-D quadrature", not fails,
            "; ".join(details))
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tailrisk.cli import main
 
 
@@ -130,3 +132,12 @@ def test_bundled_table_config_parses():
     # the shipped desk-scale configs drive the full benchmark grid
     assert main(["asymptotic", "--config", "configs/table1.json",
                  "--u", "20000"]) == 0
+
+
+def test_check_and_asymptotic_take_no_replication_flags(tmp_path):
+    cfg = write_config(tmp_path)
+    for cmd in ("check", "asymptotic"):
+        for flag in ("--seed", "--n", "--threads"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--config", cfg, "--u", "60", flag, "1"])
+            assert exc.value.code == 2

@@ -19,9 +19,8 @@ from tailrisk.harness import run
 from tailrisk.model import (LogNormalParams, ModelSpec, from_lognormal,
                             reference_model)
 from tailrisk.randsrc import RngStream
-from tailrisk.tails import (chi_radial, is_density, is_tuning_b_vector,
-                            sphere_density)
-from conftest import two_risk_model
+from tailrisk.tails import chi_radial, is_tuning_b_vector
+from conftest import is_density, sphere_density, two_risk_model
 
 
 def phi_bar(x):

@@ -7,8 +7,8 @@ import pytest
 
 from tailrisk.errors import ValidationError
 from tailrisk.estimators import EstimatorKind, make_context, make_engine
-from tailrisk.harness import (CSV_COLUMNS, attach_efficiency, compare,
-                              resolve_threads, run, run_replications,
+from tailrisk.harness import (CSV_COLUMNS, _Moments, attach_efficiency,
+                              compare, resolve_threads, run, run_replications,
                               table_csv, table_markdown, table_text,
                               variance_trend)
 from conftest import two_risk_model
@@ -39,6 +39,15 @@ def test_thread_count_invariance():
     assert c.mean == d_.mean and c.per_rep_std == d_.per_rep_std
 
 
+def _concat(first, second):
+    """Two consecutive runs' moments as one run's block lists."""
+    out = _Moments()
+    out.n = first.n + second.n
+    out.sums = first.sums + second.sums
+    out.sumsqs = first.sumsqs + second.sumsqs
+    return out
+
+
 def test_merge_of_halves_equals_full_run():
     m = two_risk_model(rho=0.4)
     ctx = make_context(m, 12.0)
@@ -50,9 +59,9 @@ def test_merge_of_halves_equals_full_run():
     for cut in (4096, 8192):
         first = run_replications(engine, cut, seed=7)
         second = run_replications(engine, n - cut, seed=7, rep_lo=cut)
-        merged = first.merge(second)
+        merged = _concat(first, second)
         assert merged.n == full.n
-        assert merged.total == full.total
+        assert math.fsum(merged.sums) == math.fsum(full.sums)
         assert math.fsum(merged.sumsqs) == math.fsum(full.sumsqs)
         mm, mv = merged.mean_var()
         fm, fv = full.mean_var()
@@ -62,7 +71,7 @@ def test_merge_of_halves_equals_full_run():
     for cut in (10_000, 13_000):
         first = run_replications(engine, cut, seed=7)
         second = run_replications(engine, n - cut, seed=7, rep_lo=cut)
-        merged = first.merge(second)
+        merged = _concat(first, second)
         mm, mv = merged.mean_var()
         fm, fv = full.mean_var()
         assert mm == pytest.approx(fm, rel=1e-13)
@@ -85,6 +94,21 @@ def test_efficiency_of_cmc_is_exactly_one():
     assert by_name["MAK"].efficiency is not None
     assert by_name["MAK"].efficiency > 1.0     # conditional beats crude here
     assert by_name["CMC"].n == 50_000 and by_name["MAK"].n == 20_000
+
+
+def test_compare_builds_one_context_per_cell(monkeypatch):
+    import tailrisk.harness as harness
+    calls = []
+
+    def counting(model, u):
+        calls.append(u)
+        return make_context(model, u)
+
+    monkeypatch.setattr(harness, "make_context", counting)
+    rows = compare(two_risk_model(), [0.0], [8.0, 12.0], ["cmc", "mak", "zr"],
+                   n=2_000, seed=3)
+    assert len(rows) == 6
+    assert calls == [8.0, 12.0]
 
 
 def test_compare_empty_estimator_list():

@@ -8,7 +8,7 @@ import pytest
 from tailrisk.errors import ValidationError
 from tailrisk.model import (LogNormalParams, ModelSpec, check_mak_condition,
                             equicorrelation, from_lognormal, max_index_set,
-                            reference_model, to_lognormal)
+                            reference_model)
 from tailrisk.tails import chi_radial
 
 
@@ -37,7 +37,8 @@ def test_from_lognormal_general_case():
 
 def test_lognormal_round_trip():
     m = reference_model(0.4)
-    p = to_lognormal(m)
+    p = LogNormalParams(mu=np.log(m.lam), sigma2=np.square(m.bg),
+                        rho=m.sigma.copy())
     m2 = from_lognormal(p)
     assert np.allclose(m2.lam, m.lam, rtol=1e-14)
     assert np.allclose(m2.beta, m.beta, rtol=1e-14)
@@ -61,13 +62,13 @@ def test_max_index_set_full_tie():
                   sigma=np.eye(3), radial=chi_radial(3))
     mis = max_index_set(m)
     assert mis.indices == mis.dominating == (0, 1, 2)
-    assert mis.dm == 3
+    assert len(mis.dominating) == 3
 
 
 def test_max_index_set_bench():
     mis = max_index_set(reference_model(0.0))
     assert mis.indices == mis.dominating == (9,)
-    assert mis.dm == 1
+    assert len(mis.dominating) == 1
 
 
 def test_max_index_set_partial_tie():
@@ -75,7 +76,7 @@ def test_max_index_set_partial_tie():
                   sigma=np.eye(3), radial=chi_radial(3))
     mis = max_index_set(m)
     assert mis.indices == (0, 1)
-    assert mis.dm == 1          # only lam = 5 attains the max among beta-ties
+    assert len(mis.dominating) == 1   # only lam = 5 attains the max among beta-ties
     assert mis.dominating == (1,)
     # strict dominance outside the set
     for i in range(3):

@@ -8,13 +8,12 @@ import pytest
 from scipy import integrate
 
 from tailrisk import asymptotic_alpha, reference_model
-from tailrisk.errors import ThresholdTooExtremeError, ValidationError
+from tailrisk.errors import ValidationError
 from tailrisk.tails import (chi_radial, estar_hazard_single, estar_single,
-                            exp_power_radial, is_density, is_tuning_b,
-                            is_tuning_b_vector, make_radial, marginal_tail,
-                            marginal_tail_single, marginal_tails, normal_tail,
-                            sphere_density, sphere_expectation)
-from conftest import two_risk_model
+                            exp_power_radial, is_tuning_b, is_tuning_b_vector,
+                            make_radial, marginal_tail_single, marginal_tails,
+                            normal_tail, sphere_expectation)
+from conftest import is_density, sphere_density, two_risk_model
 
 mp.mp.dps = 30
 
@@ -191,13 +190,13 @@ def test_is_density_uniform_case():
 
 def test_marginal_tail_at_weight():
     m = two_risk_model()
-    assert marginal_tail(m, 0, 1.0) == pytest.approx(0.5, rel=1e-14)
+    assert marginal_tails(m, 1.0)[0] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_marginal_tail_bench_value(bench_model):
     # i = 10 risk at u = 20000: the normal tail at log(20000)/sqrt(10)
     exact = 0.000868815947190463  # 30-digit normal tail, frozen
-    assert marginal_tail(bench_model, 9, 20000.0) == pytest.approx(exact, rel=1e-12)
+    assert marginal_tails(bench_model, 20000.0)[9] == pytest.approx(exact, rel=1e-12)
 
 
 def test_marginal_tail_generic_matches_gaussian():
@@ -237,11 +236,6 @@ def test_marginal_tail_generic_vs_monte_carlo():
     assert abs(val - hits) < 4 * se
 
 
-def test_marginal_tail_underflow_error(bench_model):
-    with pytest.raises(ThresholdTooExtremeError):
-        marginal_tail(bench_model, 0, 1e300)
-
-
 def test_asymptotic_alpha_d1():
     m = two_risk_model()
     one = reference_model(0.0, d=10)
@@ -263,7 +257,7 @@ def test_asymptotic_alpha_bench(bench_model):
 def test_marginal_tail_monotonicity(bench_model):
     # nonincreasing in u, increasing in the risk weight
     us = [5e3, 2e4, 1e5, 5e5]
-    vals = [marginal_tail(bench_model, 9, u) for u in us]
+    vals = [marginal_tails(bench_model, u)[9] for u in us]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     grow = [marginal_tail_single(30.0, lam, 1.0, chi_radial(10))
             for lam in (0.5, 1.0, 2.0, 4.0)]
@@ -293,7 +287,7 @@ def test_asymptotic_alpha_reduced_rule():
     m = two_risk_model(sigma2=(1.0, 4.0), mu=(np.log(5.0), 0.0))
     # beta = (1, 2): only the second index dominates
     approx = asymptotic_alpha(m, 50.0)
-    assert approx.reduced == pytest.approx(marginal_tail(m, 1, 50.0), rel=1e-12)
+    assert approx.reduced == pytest.approx(marginal_tails(m, 50.0)[1], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
