@@ -6,7 +6,7 @@ from .errors import (NumericalAbortError, TailRiskError,
 from .estimators import EstimatorKind, ReplicationContext, make_context
 from .harness import RunStats, compare, run, variance_trend
 from .linalg import factorize_all
-from .model import (LogNormalParams, MaxIndexSet, ModelSpec, asymptotic_alpha,
+from .model import (MaxIndexSet, ModelSpec, asymptotic_alpha,
                     check_mak_condition, equicorrelation, from_lognormal,
                     max_index_set, reference_model)
 from .randsrc import RngStream
@@ -16,7 +16,7 @@ from .tails import (RadialLaw, chi_radial, exp_power_radial, make_radial,
 __version__ = "0.1.0"
 
 __all__ = [
-    "EstimatorKind", "LogNormalParams", "MaxIndexSet", "ModelSpec",
+    "EstimatorKind", "MaxIndexSet", "ModelSpec",
     "NumericalAbortError", "RadialLaw", "ReplicationContext", "RngStream",
     "RunStats", "TailRiskError", "ThresholdTooExtremeError", "ValidationError",
     "asymptotic_alpha", "check_mak_condition", "chi_radial", "compare",

@@ -8,14 +8,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalAbortError, TailRiskError, ValidationError
 from .harness import FORMATTERS, compare, resolve_threads, variance_trend
-from .model import (LogNormalParams, ModelSpec, asymptotic_alpha,
-                    check_mak_condition, from_lognormal)
+from .model import (ModelSpec, asymptotic_alpha, check_mak_condition,
+                    from_lognormal)
 from .tails import make_radial
 
 FULL_SCALE_N = 10_000_000
@@ -32,6 +33,24 @@ def _load_config(path: str) -> dict:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
 
 
+_REQUIRED = object()
+_floats = partial(np.asarray, dtype=float)
+
+
+def _entry(block: dict, key: str, cast, default=_REQUIRED):
+    """``cast(block[key])``, or ``default`` when the key is absent; a missing
+    required or a malformed entry is a ValidationError."""
+    if key not in block:
+        if default is _REQUIRED:
+            raise ValidationError(f'config entry "{key}" is missing')
+        return default
+    try:
+        return cast(block[key])
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f'config entry "{key}" is malformed: {block[key]!r}') from None
+
+
 def _build_model(cfg: dict):
     """Returns (model, default_rho_entry) from the config's model block."""
     block = cfg.get("model")
@@ -39,26 +58,22 @@ def _build_model(cfg: dict):
         raise ValidationError('config needs a "model" block')
     if "lognormal" in block:
         ln = block["lognormal"]
-        rho = ln.get("rho", 0.0)
-        params = LogNormalParams(mu=np.asarray(ln["mu"], dtype=float),
-                                 sigma2=np.asarray(ln["sigma2"], dtype=float),
-                                 rho=np.asarray(rho, dtype=float)
-                                 if isinstance(rho, list) else float(rho))
-        model = from_lognormal(params)
+        rho = _entry(ln, "rho", _floats, 0.0)
+        model = from_lognormal(_entry(ln, "mu", _floats),
+                               _entry(ln, "sigma2", _floats), rho)
         return model, rho
     if "raw" in block:
         raw = block["raw"]
         radial_cfg = dict(raw.get("radial", {"kind": "chi"}))
         kind = radial_cfg.pop("kind", "chi")
-        lam = np.asarray(raw["lambda"], dtype=float)
-        if kind == "chi" and "dof" not in radial_cfg and "d" not in radial_cfg:
-            radial_cfg["dof"] = lam.size
-        radial = make_radial(kind, **radial_cfg)
-        sigma = np.asarray(raw["sigma"], dtype=float)
-        model = ModelSpec(lam=lam, beta=np.asarray(raw["beta"], dtype=float),
-                          gamma=float(raw.get("gamma", 1.0)), sigma=sigma,
-                          radial=radial)
-        return model, sigma.tolist()
+        lam = _entry(raw, "lambda", _floats)
+        if kind == "chi":
+            radial_cfg.setdefault("dof", lam.size)
+        sigma = _entry(raw, "sigma", _floats)
+        model = ModelSpec(lam=lam, beta=_entry(raw, "beta", _floats),
+                          gamma=_entry(raw, "gamma", float, 1.0), sigma=sigma,
+                          radial=make_radial(kind, **radial_cfg))
+        return model, sigma
     raise ValidationError('model block must contain "lognormal" or "raw"')
 
 
@@ -118,8 +133,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def _replication_settings(args, cfg: dict) -> tuple[int, int, int]:
     """(n, seed, threads): each flag overrides its config entry."""
-    n = args.n if args.n is not None else int(cfg.get("n", 100_000))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    n = args.n if args.n is not None else _entry(cfg, "n", int, 100_000)
+    seed = args.seed if args.seed is not None else _entry(cfg, "seed", int, 0)
     threads = resolve_threads(args.threads if args.threads is not None
                               else cfg.get("threads"))
     return n, seed, threads
@@ -131,13 +146,13 @@ def _cmd_run(args) -> int:
     rhos = cfg.get("rho", [default_rho])
     if not isinstance(rhos, list):
         rhos = [rhos]
-    us = _parse_u_list(args.u) if args.u else [float(u) for u in cfg.get("u", [])]
+    us = _parse_u_list(args.u) if args.u else _entry(
+        cfg, "u", lambda v: [float(u) for u in v], [])
     if not us:
         raise ValidationError("no thresholds given (config 'u' or --u)")
     kinds = cfg.get("estimators", ["cmc", "mak", "rn"])
     n, seed, threads = _replication_settings(args, cfg)
-    cmc_n = cfg.get("cmc_n")
-    cmc_n = int(cmc_n) if cmc_n else None
+    cmc_n = _entry(cfg, "cmc_n", int) if cfg.get("cmc_n") else None
     if args.full:
         n = FULL_SCALE_N
         cmc_n = FULL_SCALE_N

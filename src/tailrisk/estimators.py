@@ -24,8 +24,9 @@ replications; every block of ``randsrc.BLOCK_SIZE`` replications always
 generates its full draw layout, so results are identical however a run is
 chunked.  Everything that depends only on (model, u) is computed once by
 :func:`make_context` as plain arrays: the factors, the stratification weights
-and the per-stratum coefficients of the cores.  The f_IS tuning belongs to
-``rn`` alone and is computed when its engine is built.  The conditional cores
+(``tails.marginal_tails``, which ``ak`` also calls) and the per-stratum
+coefficients of the cores.  The f_IS tuning belongs to ``rn`` alone and is
+computed when its engine is built.  The conditional cores
 are pure functions of the context and the drawn coordinates, exposed
 separately (``*_values``) so tests can drive them with hand-picked inputs;
 each ends in one solve-and-measure step, a call to
@@ -66,23 +67,33 @@ class EstimatorKind:
             raise ValidationError(
                 f"unknown estimator {self.name!r}; valid names: "
                 f"{', '.join(KNOWN_ESTIMATORS)}")
-        if self.a <= 0:
-            raise ValidationError("estimator parameter a must be positive")
+        if not (np.isfinite(self.a) and self.a > 0):
+            raise ValidationError("estimator parameter a must be positive and finite")
 
     @classmethod
     def parse(cls, spec) -> "EstimatorKind":
+        """From a name, an ``"rn(a=5)"`` string or a ``{"name": "rn", "a": 5}``
+        mapping; ``a`` is the only option."""
         if isinstance(spec, EstimatorKind):
             return spec
         if isinstance(spec, dict):
-            name = str(spec.get("name", "")).lower()
-            return cls(name=name, a=float(spec.get("a", 10.0)))
-        text = str(spec).strip().lower()
-        if "(" in text:
-            name, _, rest = text.partition("(")
-            rest = rest.rstrip(")")
-            kv = dict(part.split("=") for part in rest.split(",") if "=" in part)
-            return cls(name=name.strip(), a=float(kv.get("a", 10.0)))
-        return cls(name=text)
+            opts = dict(spec)
+        else:
+            name, _, rest = str(spec).partition("(")
+            pairs = [part.split("=") for part in rest.strip().removesuffix(")").split(",")
+                     if part.strip()]
+            if any(len(pair) != 2 for pair in pairs):
+                raise ValidationError(f"estimator options must be key=value: {spec!r}")
+            opts = {key.strip().lower(): value for key, value in pairs} | {"name": name}
+        name = str(opts.pop("name", "")).strip().lower()
+        a = opts.pop("a", 10.0)
+        if opts:
+            raise ValidationError(f"unknown option(s) {', '.join(sorted(opts))} for "
+                                  f"estimator {name!r}; the only option is a")
+        try:
+            return cls(name=name, a=float(a))
+        except (TypeError, ValueError):
+            raise ValidationError(f"estimator parameter a must be a number, got {a!r}") from None
 
     def label(self) -> str:
         if self.name == "rn":
@@ -210,12 +221,11 @@ def mak_conditional_values(ctx: ReplicationContext, j: int,
 
 
 def _radial_measure(ctx):
+    """P(lo <= R < hi) for windows inside the radius domain [0, inf)."""
     tail = ctx.model.radial.tail
 
     def measure(lo, hi):
-        lo = np.maximum(lo, 0.0)
-        out = tail(lo) - tail(np.maximum(hi, 0.0))
-        return np.where(hi > lo, np.maximum(out, 0.0), 0.0)
+        return np.where(hi > lo, np.maximum(tail(lo) - tail(hi), 0.0), 0.0)
 
     return measure
 
@@ -280,43 +290,22 @@ def cmc_values(ctx: ReplicationContext, w: np.ndarray) -> np.ndarray:
     return (s > ctx.u).astype(float)
 
 
-def _marginal_tail_at(ctx: ReplicationContext, k, x: np.ndarray) -> np.ndarray:
-    """F-bar_k(x) for risk k evaluated at arbitrary positive levels x."""
-    m = ctx.model
-    lam = m.lam[k]
-    bg = m.bg[k]
-    if m.radial.is_gaussian:
-        return normal_tail((np.log(x) - np.log(lam)) / bg)
-    return np.array([
-        tails.marginal_tail_single(float(xi_), float(l), float(b), m.radial,
-                                   d=ctx.d)
-        for xi_, l, b in np.broadcast(x, lam, bg)
-    ])
-
-
 def ak_values(ctx: ReplicationContext, normals: np.ndarray,
-              cond: np.ndarray | None = None) -> np.ndarray:
+              cond: np.ndarray) -> np.ndarray:
     """Classical conditional estimator values from normal draws.
 
-    ``cond`` holds the conditioning index per row; None means the classical
-    fixed last index (identical marginals).  The value is
-    d * F-bar_cond(max(u + X_cond - S, max over the other X_i)).
+    ``cond`` holds the conditioning index per row (the classical choice is
+    the last index, for identical marginals).  The value is
+    d * F-bar_cond(max(u + X_cond - S, max over the other X_i)); at d = 1
+    the inner maximum is over nothing, -inf.
     """
     x = _risks(ctx, normals)
     s = np.sum(x, axis=1)
-    n_rows = x.shape[0]
-    if cond is None:
-        cond = np.full(n_rows, ctx.d - 1, dtype=np.intp)
-    rows = np.arange(n_rows)
-    x_cond = x[rows, cond]
-    if ctx.d > 1:
-        masked = np.where(np.arange(ctx.d)[None, :] == cond[:, None], -np.inf, x)
-        other_max = np.max(masked, axis=1)
-    else:
-        other_max = np.zeros(n_rows)
-    arg = np.maximum(ctx.u + x_cond - s, other_max)
+    x_cond = x[np.arange(x.shape[0]), cond]
+    masked = np.where(np.arange(ctx.d)[None, :] == cond[:, None], -np.inf, x)
+    arg = np.maximum(ctx.u + x_cond - s, np.max(masked, axis=1))
     arg = np.maximum(arg, np.finfo(float).tiny)     # argument is positive a.s.
-    return ctx.d * _marginal_tail_at(ctx, cond, arg)
+    return ctx.d * tails.marginal_tails(ctx.model, arg, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +402,7 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind
 
         def engine(gen, mb):
             normals = gen.standard_normal((mb, d))
-            cond = gen.integers(0, d, size=mb) if symmetrize else None
+            cond = gen.integers(0, d, size=mb) if symmetrize else np.full(mb, d - 1)
             return BlockResult(ak_values(ctx, normals, cond), 0, 0)
 
         return engine
@@ -436,30 +425,28 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind
 
         return engine
 
-    if kname == "rn":
-        if d == 1:
-            # no sphere component to reweight: the conditional probability is
-            # the marginal tail itself, with zero variance (and the
-            # stratification scale ztot/z_1 cancels)
-            z1 = float(ctx.strat_weights[0])
+    # rn, the one kind left
+    if d == 1:
+        # no sphere component to reweight: the conditional probability is
+        # the marginal tail itself, with zero variance (and the
+        # stratification scale ztot/z_1 cancels)
+        z1 = float(ctx.strat_weights[0])
 
-            def engine(gen, mb):
-                return BlockResult(np.full(mb, z1), 0, 0)
+        def engine(gen, mb):
+            return BlockResult(np.full(mb, z1), 0, 0)
 
-            return engine
+        return engine
 
-        a = float(kind.a)
-        is_b = tails.is_tuning_b_vector(ctx.model, ctx.u, a)
+    a = float(kind.a)
+    is_b = tails.is_tuning_b_vector(ctx.model, ctx.u, a)
 
-        def core(gen, j, count):
-            b = float(is_b[j])
-            theta_j = randsrc.beta_symmetric(gen, a, b, count)
-            clamped = int(np.sum(np.abs(theta_j) >= _THETA_CLAMP))
-            theta_j = np.clip(theta_j, -_THETA_CLAMP, _THETA_CLAMP)
-            rest = randsrc.sphere_matrix(gen, count, d - 1)
-            vals, ok = rn_conditional_values(ctx, j, theta_j, rest, a, b)
-            return vals, ok, clamped
+    def core(gen, j, count):
+        b = float(is_b[j])
+        theta_j = randsrc.beta_symmetric(gen, a, b, count)
+        clamped = int(np.sum(np.abs(theta_j) >= _THETA_CLAMP))
+        theta_j = np.clip(theta_j, -_THETA_CLAMP, _THETA_CLAMP)
+        rest = randsrc.sphere_matrix(gen, count, d - 1)
+        vals, ok = rn_conditional_values(ctx, j, theta_j, rest, a, b)
+        return vals, ok, clamped
 
-        return _stratified_engine(ctx, core)
-
-    raise ValidationError(f"unknown estimator kind {kname!r}")
+    return _stratified_engine(ctx, core)

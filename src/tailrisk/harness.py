@@ -193,9 +193,9 @@ def compare(model: ModelSpec, rhos: Sequence, us: Sequence[float],
             threads: int = 1) -> list[TableRow]:
     """One RunStats row per (estimator, correlation, threshold).
 
-    Each (rho, u) cell builds one context that all its estimators share.
-    The CMC row of each cell is computed first and used as that cell's
-    efficiency baseline; without a CMC row efficiencies stay empty.
+    Each (rho, u) cell builds one context that all its estimators share and
+    runs them in the given order.  The cell's CMC row is its efficiency
+    baseline; without a CMC row efficiencies stay empty.
     """
     kinds = [EstimatorKind.parse(k) for k in kinds]
     rows: list[TableRow] = []
@@ -205,20 +205,12 @@ def compare(model: ModelSpec, rhos: Sequence, us: Sequence[float],
         m = model.with_correlation(rho)
         for u in us:
             ctx = make_context(m, u)
-            # CMC first so its variance and clock anchor the efficiency column
-            ordered = sorted(kinds, key=lambda k: k.name != "cmc")
-            cell: dict[str, RunStats] = {}
-            baseline = None
-            for kind in ordered:
-                reps = cmc_n if (kind.name == "cmc" and cmc_n) else n
-                stats = run(m, u, kind, reps, seed, threads=threads, ctx=ctx)
-                if kind.name == "cmc":
-                    stats = attach_efficiency(stats, stats)
-                    baseline = stats
-                cell[kind.label()] = stats
-            for kind in kinds:
-                stats = cell[kind.label()]
-                if stats.efficiency is None and baseline is not None:
+            cell = [run(m, u, kind, cmc_n if (kind.name == "cmc" and cmc_n) else n,
+                        seed, threads=threads, ctx=ctx) for kind in kinds]
+            baseline = next((stats for kind, stats in zip(kinds, cell)
+                             if kind.name == "cmc"), None)
+            for stats in cell:
+                if baseline is not None:
                     stats = attach_efficiency(stats, baseline)
                 rows.append(TableRow(rho_label=label, u=float(u), stats=stats))
     return rows

@@ -5,7 +5,8 @@ A model describes S(u) = sum_i lam_i * exp(beta_i * gamma * Y_i) where
 Y = A R U for a radius R and a uniform sphere direction U (log-elliptical
 case).  Only constant gamma and a constant correlation matrix are supported:
 every supported computation holds them fixed across thresholds, which keeps
-the factorizations out of the replication loop.
+the factorizations out of the replication loop.  A Gaussian (chi) radius
+must have the model's dimension.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ class ModelSpec:
             raise ValidationError(
                 f"correlation matrix is {sigma.shape[0]}x{sigma.shape[0]} but the "
                 f"model has {lam.size} risks")
+        if self.radial.gaussian_dim not in (None, lam.size):
+            raise ValidationError(
+                f"radial law {self.radial.name} is the Gaussian radius of "
+                f"dimension {self.radial.gaussian_dim}, but the model has "
+                f"{lam.size} risks")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", float(self.gamma))
@@ -72,56 +78,42 @@ class ModelSpec:
         """Per-risk exponent scale beta_i * gamma."""
         return self.beta * self.gamma
 
-    def with_correlation(self, sigma_or_rho) -> "ModelSpec":
+    def with_correlation(self, rho) -> "ModelSpec":
         """Same marginals with a different correlation structure."""
-        s = np.asarray(sigma_or_rho, dtype=float)
-        sigma = equicorrelation(self.d, float(s)) if s.ndim == 0 else s
         return ModelSpec(lam=self.lam, beta=self.beta, gamma=self.gamma,
-                         sigma=sigma, radial=self.radial)
+                         sigma=_correlation(self.d, rho), radial=self.radial)
 
 
-@dataclass(frozen=True)
-class LogNormalParams:
-    """The applied parametrization: marginal log-means and log-variances plus
-    a common correlation or an explicit matrix for the Gaussian exponents."""
-
-    mu: np.ndarray
-    sigma2: np.ndarray
-    rho: float | np.ndarray = 0.0
-
-    def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        s2 = np.atleast_1d(np.asarray(self.sigma2, dtype=float))
-        if mu.ndim != 1 or s2.shape != mu.shape:
-            raise ValidationError("mu and sigma2 must be 1-d arrays of equal length")
-        if np.any(s2 <= 0) or not np.all(np.isfinite(s2)):
-            raise ValidationError("all log-variances sigma2 must be positive")
-        if not np.all(np.isfinite(mu)):
-            raise ValidationError("log-means mu must be finite")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma2", s2)
-
-    def correlation(self) -> np.ndarray:
-        rho = np.asarray(self.rho, dtype=float)
-        if rho.ndim == 0:
-            return equicorrelation(self.mu.size, float(rho))
-        return rho
+def _correlation(d: int, rho) -> np.ndarray:
+    """A common correlation ``rho`` as the d x d equicorrelation matrix; a
+    matrix passes through (``ModelSpec`` validates it)."""
+    r = np.asarray(rho, dtype=float)
+    return equicorrelation(d, float(r)) if r.ndim == 0 else r
 
 
-def from_lognormal(p: LogNormalParams) -> ModelSpec:
-    """Map (mu, sigma2, rho) onto the (lambda, beta, gamma) model.
+def from_lognormal(mu, sigma2, rho=0.0) -> ModelSpec:
+    """The applied parametrization: marginal log-means ``mu``, log-variances
+    ``sigma2`` and a common correlation or an explicit matrix ``rho``.
 
-    lambda_i = exp(mu_i), beta_i = sqrt(sigma2_i), gamma = 1 and the radial
-    law is the chi square root of the dimension (Gaussian case).
+    Maps to lambda_i = exp(mu_i), beta_i = sqrt(sigma2_i), gamma = 1 and the
+    chi radial law of the model dimension (Gaussian case).
     """
-    return ModelSpec(lam=np.exp(p.mu), beta=np.sqrt(p.sigma2), gamma=1.0,
-                     sigma=p.correlation(), radial=chi_radial(p.mu.size))
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    s2 = np.atleast_1d(np.asarray(sigma2, dtype=float))
+    if mu.ndim != 1 or s2.shape != mu.shape:
+        raise ValidationError("mu and sigma2 must be 1-d arrays of equal length")
+    if np.any(s2 <= 0) or not np.all(np.isfinite(s2)):
+        raise ValidationError("all log-variances sigma2 must be positive")
+    if not np.all(np.isfinite(mu)):
+        raise ValidationError("log-means mu must be finite")
+    return ModelSpec(lam=np.exp(mu), beta=np.sqrt(s2), gamma=1.0,
+                     sigma=_correlation(mu.size, rho), radial=chi_radial(mu.size))
 
 
 def reference_model(rho: float = 0.0, d: int = 10) -> ModelSpec:
     """The benchmark model: mu_i = i - 10, sigma2_i = i, equicorrelated."""
     i = np.arange(1, d + 1, dtype=float)
-    return from_lognormal(LogNormalParams(mu=i - 10.0, sigma2=i, rho=rho))
+    return from_lognormal(i - 10.0, i, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -62,16 +62,11 @@ def sphere_matrix(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
 
 def stratified_indices(gen: np.random.Generator, m: int,
                        weights: np.ndarray) -> np.ndarray:
-    """``m`` categorical draws with probabilities ``weights / weights.sum()``."""
+    """``m`` categorical draws with probabilities ``weights / weights.sum()``
+    (finite and nonnegative, with the positive sum that ``make_engine``'s
+    range rule guarantees)."""
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValidationError("stratification weights must be finite and nonnegative")
-    total = w.sum()
-    if total <= 0.0:
-        raise ValidationError(
-            "stratification weights sum to zero: threshold too extreme for "
-            "float marginal tails")
-    cum = np.cumsum(w / total)
+    cum = np.cumsum(w / w.sum())
     cum[-1] = 1.0
     return np.searchsorted(cum, gen.random(m), side="right").astype(np.intp)
 

@@ -1,7 +1,9 @@
 """Analytic tail machinery: normal tails, radial laws, log sphere and f_IS
 densities, marginal exceedance probabilities and the importance-sampling
-tuning.  An underflowed marginal tail is returned as 0 (the range rule lives
-in ``estimators.make_engine``), and scipy's quadrature and root finder are
+tuning.  :func:`marginal_tails` is the one definition of the marginal tails
+P(X_k > x), for the stratification weights and for ``ak`` alike; an
+underflowed tail is returned as 0 (the range rule lives in
+``estimators.make_engine``), and scipy's quadrature and root finder are
 imported only by the functions that call them.
 
 All radial laws here live in the Gumbel max-domain of attraction: the tail
@@ -108,7 +110,7 @@ def exp_power_radial(p: float) -> RadialLaw:
     nu(x) = x^(1-p)/p, the reciprocal hazard; p > 1 guarantees nu -> 0 and
     u*nu(log u) -> infinity, the conditions the estimators rely on.
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValidationError("exp-power radial needs exponent p > 1")
 
     def tail(x):
@@ -127,20 +129,29 @@ def exp_power_radial(p: float) -> RadialLaw:
     return RadialLaw(name=f"exp-power({p})", tail=tail, quantile=quantile, nu=nu)
 
 
+# kind -> (its one parameter, builder); chi's ``dof`` is the model dimension
 _RADIAL_BUILDERS = {
-    "chi": lambda params: chi_radial(int(params.get("dof", params.get("d", 0)))),
-    "exp-power": lambda params: exp_power_radial(float(params["p"])),
+    "chi": ("dof", lambda v: chi_radial(int(v))),
+    "exp-power": ("p", exp_power_radial),
 }
 
 
 def make_radial(kind: str, **params) -> RadialLaw:
     """Named built-in radial laws for config files ("chi", "exp-power")."""
     try:
-        builder = _RADIAL_BUILDERS[kind]
+        name, build = _RADIAL_BUILDERS[kind]
     except KeyError:
         known = ", ".join(sorted(_RADIAL_BUILDERS))
         raise ValidationError(f"unknown radial law {kind!r}; known kinds: {known}")
-    return builder(params)
+    if set(params) != {name}:
+        raise ValidationError(
+            f"radial law {kind!r} takes exactly the parameter {name!r}, "
+            f"got {sorted(params)}")
+    try:
+        return build(float(params[name]))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"radial parameter {name!r} must be a number, got {params[name]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,36 +214,33 @@ def sphere_expectation(fn: Callable[[float], float], d: int) -> float:
 # ---------------------------------------------------------------------------
 
 def marginal_tail_single(u: float, lam: float, bg: float, radial: RadialLaw,
-                         d: int | None = None) -> float:
-    """P(lam * exp(bg * R * Theta) > u) for one risk.
-
-    Gaussian radial: the exact normal tail.  Generic radial (needs the
-    ambient dimension ``d``): quadrature of the sphere-component mixture,
-    splitting at Theta = 0 when u <= lam so both branches integrate a
-    decaying tail.
-    """
+                         d: int) -> float:
+    """P(lam * exp(bg * R * Theta) > u) for one risk of a d-risk model with a
+    generic radial law, by quadrature of the sphere-component mixture (its
+    complement when u < lam, so the integrand is always a decaying tail)."""
     if u <= 0:
         return 1.0
     w = np.log(u / lam) / bg
-    if radial.is_gaussian:
-        p = float(normal_tail(w))
-    else:
-        if d is None:
-            raise ValidationError(
-                "generic radial laws need the ambient dimension d")
-        if w >= 0:
-            p = sphere_expectation(
-                lambda th: float(radial.tail(w / th)) if th > 0 else 0.0, d)
-        else:
-            p = 1.0 - sphere_expectation(
-                lambda th: float(radial.tail(-w / th)) if th > 0 else 0.0, d)
-    return p
+    p = sphere_expectation(
+        lambda th: float(radial.tail(abs(w) / th)) if th > 0 else 0.0, d)
+    return p if w >= 0 else 1.0 - p
 
 
-def marginal_tails(m: "ModelSpec", u: float) -> np.ndarray:
-    """Vector of P(X_i(u) > u) over all risks."""
-    return np.array([marginal_tail_single(u, float(lam), float(bg), m.radial, d=m.d)
-                     for lam, bg in zip(m.lam, m.bg)])
+def marginal_tails(m: "ModelSpec", x, k=None) -> np.ndarray:
+    """P(X_k > x) elementwise over broadcast ``x`` and ``k`` (every risk when
+    ``k`` is None); 1 for x <= 0.  Gaussian laws take the normal tail, others
+    one :func:`marginal_tail_single` per element."""
+    x, k = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.arange(m.d) if k is None else k)
+    lam, bg = m.lam[k], m.bg[k]
+    if m.radial.is_gaussian:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            p = normal_tail(np.log(x / lam) / bg)
+        return np.where(x > 0, p, 1.0)
+    return np.array([marginal_tail_single(float(xi), float(li), float(bi),
+                                          m.radial, m.d)
+                     for xi, li, bi in zip(x.flat, lam.flat, bg.flat)]
+                    ).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

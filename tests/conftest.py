@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tailrisk import LogNormalParams, from_lognormal, reference_model
+from tailrisk import from_lognormal, reference_model
 from tailrisk.tails import log_is_density, log_sphere_density
 
 # acceptance criteria register their PASS/FAIL lines here; printed at the end
@@ -25,9 +25,7 @@ def bench_model():
 
 
 def two_risk_model(rho=0.0, sigma2=(1.0, 1.0), mu=(0.0, 0.0)):
-    return from_lognormal(LogNormalParams(mu=np.array(mu, dtype=float),
-                                          sigma2=np.array(sigma2, dtype=float),
-                                          rho=rho))
+    return from_lognormal(mu, sigma2, rho)
 
 
 def sphere_density(d, theta):

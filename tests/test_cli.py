@@ -128,6 +128,32 @@ def test_raw_model_block(tmp_path, capsys):
     assert "ZR" in out
 
 
+def test_chi_dof_other_than_dimension_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, model={
+        "raw": {"lambda": [1.0, 1.0], "beta": [1.0, 1.0],
+                "sigma": [[1.0, 0.5], [0.5, 1.0]],
+                "radial": {"kind": "chi", "dof": 5}}},
+        u=[30.0], estimators=["cmc", "zr"], rho=[0.5])
+    assert main(["run", "--config", cfg]) == 1
+    assert "dimension 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"model": {"lognormal": {"sigma2": [1.0, 1.0]}}}, '"mu"'),
+    ({"model": {"raw": {"lambda": [1.0, 1.0], "beta": [1.0, 1.0],
+                        "sigma": [[1.0, 0.0], [0.0, 1.0]],
+                        "radial": {"kind": "exp-power"}}}}, "'p'"),
+    ({"n": "many"}, '"n"'),
+    ({"estimators": [{"name": "rn", "a": "x"}]}, "'x'"),
+    ({"estimators": ["rn(b=3)"]}, "b"),
+])
+def test_config_errors_exit_one(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_bundled_table_config_parses():
     # the shipped desk-scale configs drive the full benchmark grid
     assert main(["asymptotic", "--config", "configs/table1.json",

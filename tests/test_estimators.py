@@ -16,8 +16,7 @@ from tailrisk.estimators import (EstimatorKind, ak_values,
                                  mak_conditional_values, rn_conditional_values,
                                  zr_values)
 from tailrisk.harness import run
-from tailrisk.model import (LogNormalParams, ModelSpec, from_lognormal,
-                            reference_model)
+from tailrisk.model import ModelSpec, from_lognormal, reference_model
 from tailrisk.randsrc import RngStream
 from tailrisk.tails import chi_radial, is_tuning_b_vector
 from conftest import is_density, sphere_density, two_risk_model
@@ -28,7 +27,7 @@ def phi_bar(x):
 
 
 def one_risk_model():
-    return from_lognormal(LogNormalParams(mu=[0.0], sigma2=[1.0]))
+    return from_lognormal([0.0], [1.0])
 
 
 def collect(engine, n, seed=0):
@@ -106,7 +105,7 @@ def test_ak_hand_value():
     x = np.exp(normals[0])
     arg = max(20.0 + x[1] - x.sum(), x[0])
     want = 2.0 * phi_bar(math.log(arg))
-    got = ak_values(ctx, normals)
+    got = ak_values(ctx, normals, np.array([1]))
     assert got[0] == pytest.approx(want, rel=1e-12)
 
 
@@ -274,8 +273,7 @@ def test_zr_unbiased_vs_cmc():
 def test_rn_weight_factor_d3():
     # for d = 3 the sphere component is uniform (f = 1/2), so the value must
     # scale exactly like 1 / (2 f_IS(a, b, theta)) across (a, b) choices
-    m = from_lognormal(LogNormalParams(mu=[0.0, 0.0, 0.0],
-                                       sigma2=[1.0, 1.0, 1.0], rho=0.2))
+    m = from_lognormal([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.2)
     ctx = make_context(m, 25.0)
     theta = np.array([0.55])
     rest = np.array([[0.8, -0.6]])

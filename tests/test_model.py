@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from tailrisk.errors import ValidationError
-from tailrisk.model import (LogNormalParams, ModelSpec, check_mak_condition,
+from tailrisk.model import (ModelSpec, check_mak_condition,
                             equicorrelation, from_lognormal, max_index_set,
                             reference_model)
 from tailrisk.tails import chi_radial
 
 
 def test_from_lognormal_identity_case():
-    m = from_lognormal(LogNormalParams(mu=[0.0], sigma2=[1.0]))
+    m = from_lognormal([0.0], [1.0])
     assert m.d == 1
     assert m.lam[0] == 1.0 and m.beta[0] == 1.0 and m.gamma == 1.0
 
@@ -27,8 +27,7 @@ def test_from_lognormal_bench_case():
 
 
 def test_from_lognormal_general_case():
-    m = from_lognormal(LogNormalParams(mu=[-1.0, 0.0], sigma2=[4.0, 1.0],
-                                       rho=0.5))
+    m = from_lognormal([-1.0, 0.0], [4.0, 1.0], 0.5)
     assert m.lam[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
     assert m.lam[1] == 1.0
     assert m.beta[0] == 2.0 and m.beta[1] == 1.0
@@ -37,9 +36,7 @@ def test_from_lognormal_general_case():
 
 def test_lognormal_round_trip():
     m = reference_model(0.4)
-    p = LogNormalParams(mu=np.log(m.lam), sigma2=np.square(m.bg),
-                        rho=m.sigma.copy())
-    m2 = from_lognormal(p)
+    m2 = from_lognormal(np.log(m.lam), np.square(m.bg), m.sigma.copy())
     assert np.allclose(m2.lam, m.lam, rtol=1e-14)
     assert np.allclose(m2.beta, m.beta, rtol=1e-14)
     assert np.allclose(m2.sigma, m.sigma, rtol=1e-14)
@@ -48,13 +45,19 @@ def test_lognormal_round_trip():
 
 def test_validation_errors():
     with pytest.raises(ValidationError, match="eigenvalue"):
-        from_lognormal(LogNormalParams(mu=[0.0, 0.0, 0.0], sigma2=[1.0] * 3,
-                                       rho=-0.9))
+        from_lognormal([0.0, 0.0, 0.0], [1.0] * 3, -0.9)
     with pytest.raises(ValidationError):
-        LogNormalParams(mu=[0.0], sigma2=[-1.0])
+        from_lognormal([0.0], [-1.0])
     with pytest.raises(ValidationError):
         ModelSpec(lam=[1.0, -2.0], beta=[1.0, 1.0], gamma=1.0,
                   sigma=np.eye(2), radial=chi_radial(2))
+
+
+def test_gaussian_radial_must_match_dimension():
+    # the chi radius of dimension 5 is no Gaussian model of two risks
+    with pytest.raises(ValidationError, match="dimension 5"):
+        ModelSpec(lam=[1.0, 1.0], beta=[1.0, 1.0], gamma=1.0,
+                  sigma=equicorrelation(2, 0.5), radial=chi_radial(5))
 
 
 def test_max_index_set_full_tie():
@@ -112,7 +115,7 @@ def test_condition_near_singular_pair_fails():
 
 
 def test_condition_single_risk_vacuous():
-    m = from_lognormal(LogNormalParams(mu=[0.0], sigma2=[1.0]))
+    m = from_lognormal([0.0], [1.0])
     report = check_mak_condition(m, [50.0])
     assert report.pairs == ()
     assert report.holds_all_indices and report.holds_within_max_set

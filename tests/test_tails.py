@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from tailrisk import asymptotic_alpha, reference_model
+from tailrisk import ModelSpec, asymptotic_alpha, reference_model
 from tailrisk.errors import ValidationError
 from tailrisk.tails import (chi_radial, estar_hazard_single, estar_single,
                             exp_power_radial, is_tuning_b, is_tuning_b_vector,
@@ -16,6 +16,12 @@ from tailrisk.tails import (chi_radial, estar_hazard_single, estar_single,
 from conftest import is_density, sphere_density, two_risk_model
 
 mp.mp.dps = 30
+
+
+def one_risk(lam, bg):
+    """The one-risk log-Gaussian model lam * exp(bg * N)."""
+    return ModelSpec(lam=[lam], beta=[bg], gamma=1.0, sigma=np.eye(1),
+                     radial=chi_radial(1))
 
 
 # diagnostics of the scaling function nu, kept here because only the tests
@@ -127,6 +133,9 @@ def test_make_radial_registry():
     assert make_radial("exp-power", p=3.0).name == "exp-power(3.0)"
     with pytest.raises(ValidationError):
         make_radial("pareto")
+    for params in ({}, {"d": 4}, {"dof": 4, "d": 4}, {"dof": "x"}):
+        with pytest.raises(ValidationError):
+            make_radial("chi", **params)
 
 
 def test_davis_resnick_ratio_decreases():
@@ -205,7 +214,7 @@ def test_marginal_tail_generic_matches_gaussian():
     as_generic = type(law)(name=law.name, tail=law.tail, quantile=law.quantile,
                            nu=law.nu, gaussian_dim=None)
     for u in (1.5, 5.0, 40.0):
-        direct = marginal_tail_single(u, 1.0, 1.0, law)
+        direct = marginal_tails(one_risk(1.0, 1.0), u)[0]
         via_quad = marginal_tail_single(u, 1.0, 1.0, as_generic, d=2)
         assert via_quad == pytest.approx(direct, rel=1e-8)
 
@@ -216,7 +225,7 @@ def test_marginal_tail_below_weight_split():
     generic = type(law)(name="g", tail=law.tail, quantile=law.quantile,
                         nu=law.nu, gaussian_dim=None)
     val = marginal_tail_single(0.2, 1.0, 1.0, generic, d=3)
-    exact = marginal_tail_single(0.2, 1.0, 1.0, law)
+    exact = marginal_tails(one_risk(1.0, 1.0), 0.2)[0]
     assert val == pytest.approx(exact, rel=1e-8)
     assert 0.5 < val < 1.0
 
@@ -234,6 +243,27 @@ def test_marginal_tail_generic_vs_monte_carlo():
     hits = float(np.mean(x > 10.0))
     se = math.sqrt(hits * (1 - hits) / n)
     assert abs(val - hits) < 4 * se
+
+
+def test_marginal_tails_elementwise():
+    # array levels x against array risk indices k, including the level 0
+    m = reference_model(0.4, d=3)
+    x = np.array([0.0, 0.5, 3.0, 40.0, 7.0])
+    k = np.array([2, 0, 1, 2, 0])
+    want = normal_tail(np.log(x[1:] / m.lam[k[1:]]) / m.bg[k[1:]])
+    got = marginal_tails(m, x, k)
+    assert got[0] == 1.0
+    assert np.array_equal(got[1:], want)
+    law = exp_power_radial(1.5)
+    generic = ModelSpec(lam=m.lam, beta=m.beta, gamma=m.gamma, sigma=m.sigma,
+                        radial=law)
+    want = [marginal_tail_single(xi, m.lam[ki], m.bg[ki], law, 3)
+            for xi, ki in zip(x, k)]
+    got = marginal_tails(generic, x, k)
+    assert want[0] == 1.0
+    assert np.array_equal(got, want)
+    assert np.array_equal(marginal_tails(generic, 3.0),
+                          marginal_tails(generic, np.full(3, 3.0), np.arange(3)))
 
 
 def test_asymptotic_alpha_d1():
@@ -259,7 +289,7 @@ def test_marginal_tail_monotonicity(bench_model):
     us = [5e3, 2e4, 1e5, 5e5]
     vals = [marginal_tails(bench_model, u)[9] for u in us]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    grow = [marginal_tail_single(30.0, lam, 1.0, chi_radial(10))
+    grow = [marginal_tails(one_risk(lam, 1.0), 30.0)[0]
             for lam in (0.5, 1.0, 2.0, 4.0)]
     assert all(a < b for a, b in zip(grow, grow[1:]))
 
@@ -267,7 +297,7 @@ def test_marginal_tail_monotonicity(bench_model):
 def test_marginal_tail_gaussian_vs_monte_carlo():
     # closed form against 1e7 direct samples of lam * exp(bg * N)
     lam, bg, u = 2.0, 1.5, 40.0
-    want = marginal_tail_single(u, lam, bg, chi_radial(7))
+    want = marginal_tails(one_risk(lam, bg), u)[0]
     rng = np.random.default_rng(607)
     hits = float(np.mean(lam * np.exp(bg * rng.standard_normal(10_000_000)) > u))
     se = math.sqrt(hits * (1 - hits) / 1e7)
