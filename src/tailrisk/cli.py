@@ -57,14 +57,14 @@ def _build_model(cfg: dict):
     if not isinstance(block, dict):
         raise ValidationError('config needs a "model" block')
     if "lognormal" in block:
-        ln = block["lognormal"]
+        ln = _entry(block, "lognormal", dict)
         rho = _entry(ln, "rho", _floats, 0.0)
         model = from_lognormal(_entry(ln, "mu", _floats),
                                _entry(ln, "sigma2", _floats), rho)
         return model, rho
     if "raw" in block:
-        raw = block["raw"]
-        radial_cfg = dict(raw.get("radial", {"kind": "chi"}))
+        raw = _entry(block, "raw", dict)
+        radial_cfg = _entry(raw, "radial", dict, {"kind": "chi"})
         kind = radial_cfg.pop("kind", "chi")
         lam = _entry(raw, "lambda", _floats)
         if kind == "chi":
@@ -143,21 +143,20 @@ def _replication_settings(args, cfg: dict) -> tuple[int, int, int]:
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     model, default_rho = _build_model(cfg)
-    rhos = cfg.get("rho", [default_rho])
-    if not isinstance(rhos, list):
-        rhos = [rhos]
+    rhos = _entry(cfg, "rho", lambda v: list(map(
+        _floats, v if isinstance(v, list) else [v])), [default_rho])
     us = _parse_u_list(args.u) if args.u else _entry(
         cfg, "u", lambda v: [float(u) for u in v], [])
     if not us:
         raise ValidationError("no thresholds given (config 'u' or --u)")
-    kinds = cfg.get("estimators", ["cmc", "mak", "rn"])
+    kinds = _entry(cfg, "estimators", list, ["cmc", "mak", "rn"])
     n, seed, threads = _replication_settings(args, cfg)
     cmc_n = _entry(cfg, "cmc_n", int) if cfg.get("cmc_n") else None
     if args.full:
         n = FULL_SCALE_N
         cmc_n = FULL_SCALE_N
-    out_cfg = cfg.get("output", {})
-    fmt = args.format or out_cfg.get("format", "csv")
+    out_cfg = _entry(cfg, "output", dict, {})
+    fmt = args.format or _entry(out_cfg, "format", str, "csv")
     if fmt not in FORMATTERS:
         raise ValidationError(f"unknown format {fmt!r}; choose from "
                               f"{', '.join(sorted(FORMATTERS))}")

@@ -3,8 +3,8 @@ densities, marginal exceedance probabilities and the importance-sampling
 tuning.  :func:`marginal_tails` is the one definition of the marginal tails
 P(X_k > x), for the stratification weights and for ``ak`` alike; an
 underflowed tail is returned as 0 (the range rule lives in
-``estimators.make_engine``), and scipy's quadrature and root finder are
-imported only by the functions that call them.
+``estimators.make_engine``).  Generic radial laws take a fixed Gauss-Legendre
+rule; scipy's root finder is imported only by :func:`is_tuning_b`.
 
 All radial laws here live in the Gumbel max-domain of attraction: the tail
 satisfies (1 - F(x + s*nu(x))) / (1 - F(x)) -> exp(-s) for the law's scaling
@@ -14,6 +14,7 @@ function ``nu``.  Heavy (regularly varying) radii are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import ValidationError
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ModelSpec
 
-_QUAD_RTOL = 1e-11
+_GL_N = 64      # Gauss-Legendre nodes per panel of the generic marginal tail
 
 
 # ---------------------------------------------------------------------------
@@ -186,43 +187,53 @@ def log_is_density(a: float, b: float, x) -> np.ndarray:
             - gammaln(b) + (a - 1.0) * np.log1p(x) + (b - 1.0) * np.log1p(-x))
 
 
-def sphere_expectation(fn: Callable[[float], float], d: int) -> float:
-    """Integral of fn(theta) * f(theta) over (-1, 1).
-
-    Substitutes theta = 1 - t^2 (and the mirror image) so the d = 2 endpoint
-    singularity integrates cleanly; for d >= 3 the substitution is harmless.
-    """
-    from scipy import integrate
-
-    c = np.exp(gammaln(0.5 * d) - 0.5 * np.log(np.pi) - gammaln(0.5 * (d - 1)))
-    ex = 0.5 * (d - 3)
-
-    def half(sign: float) -> float:
-        def g(t: float) -> float:
-            theta = sign * (1.0 - t * t)
-            w = 2.0 * c * t ** (d - 2) * (2.0 - t * t) ** ex
-            return fn(theta) * w
-
-        val, _ = integrate.quad(g, 0.0, 1.0, epsrel=_QUAD_RTOL, limit=200)
-        return val
-
-    return half(1.0) + half(-1.0)
-
-
 # ---------------------------------------------------------------------------
 # marginal tails and the first-order approximation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _legendre() -> tuple[np.ndarray, np.ndarray]:
+    x, wt = np.polynomial.legendre.leggauss(_GL_N)
+    return 0.5 * (x + 1.0), 0.5 * wt          # mapped to (0, 1)
+
+
+def _panels(d: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes theta and weights f(theta) dtheta, _GL_N on each panel of ``edges``."""
+    x, wt = _legendre()
+    lo, width = np.asarray(edges[:-1])[:, None], np.diff(edges)[:, None]
+    theta = (lo + width * x).ravel()
+    return theta, (width * wt).ravel() * np.exp(log_sphere_density(d, theta))
+
+
+@lru_cache(maxsize=None)
+def _sphere_rule(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes theta and weights of the rule over (0, 1]: a plain panel on
+    (0, 1/2], then theta = 1 - s, s = t^2/2 on [1/2, 1], which absorbs the
+    d = 2 endpoint singularity (1 - theta^2 = s (2 - s) has no cancellation)."""
+    t, wt = _legendre()
+    s = 0.5 * t * t
+    f = np.exp(log_sphere_density(d, 0.0)) * (s * (2.0 - s)) ** (0.5 * (d - 3))
+    theta, weight = _panels(d, [0.0, 0.5])
+    return np.concatenate([theta, 1.0 - s]), np.concatenate([weight, f * t * wt])
+
+
 def marginal_tail_single(u: float, lam: float, bg: float, radial: RadialLaw,
                          d: int) -> float:
     """P(lam * exp(bg * R * Theta) > u) for one risk of a d-risk model with a
-    generic radial law, by quadrature of the sphere-component mixture (its
-    complement when u < lam, so the integrand is always a decaying tail)."""
+    generic radial law: a fixed Gauss-Legendre rule over theta in (0, 1] for
+    P(R > |w| / theta) f(theta), w = log(u / lam) / bg (the complement when
+    u < lam, so the integrand is always a decaying tail)."""
     if u <= 0:
         return 1.0
     w = np.log(u / lam) / bg
-    p = sphere_expectation(
-        lambda th: float(radial.tail(abs(w) / th)) if th > 0 else 0.0, d)
+    a = abs(w)
+    theta, weight = _sphere_rule(d)
+    if 0.0 < a < 0.25:      # split (0, 1/2] where the tail switches on
+        cuts = [s * a for s in (0.5, 2.0, 8.0, 32.0) if s * a < 0.5]
+        low_theta, low_weight = _panels(d, [0.0, *cuts, 0.5])
+        theta = np.concatenate([low_theta, theta[_GL_N:]])
+        weight = np.concatenate([low_weight, weight[_GL_N:]])
+    p = float(np.dot(weight, radial.tail(a / theta)))
     return p if w >= 0 else 1.0 - p
 
 

@@ -21,8 +21,9 @@ from tailrisk.linalg import factorize_all
 from tailrisk.model import equicorrelation, reference_model
 from tailrisk.randsrc import RngStream
 from tailrisk.rootfind import exceedance_bounds
-from tailrisk.tails import chi_radial, is_tuning_b, sphere_expectation
-from conftest import is_density, sphere_density, two_risk_model
+from tailrisk.tails import chi_radial, is_tuning_b
+from conftest import (is_density, sphere_density, sphere_expectation,
+                      two_risk_model)
 
 SEED = 74205
 N_EST = 100_000

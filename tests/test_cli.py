@@ -154,6 +154,27 @@ def test_config_errors_exit_one(tmp_path, capsys, overrides, message):
     assert err.startswith("error:") and message in err
 
 
+_RAW_TWO_RISKS = {"lambda": [1.0, 1.0], "beta": [1.0, 1.0],
+                  "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("overrides, entry", [
+    ({"rho": ["x"]}, '"rho"'),
+    ({"model": {"lognormal": 5}}, '"lognormal"'),
+    ({"model": {"raw": 5}}, '"raw"'),
+    ({"model": {"raw": {**_RAW_TWO_RISKS, "radial": 5}}}, '"radial"'),
+    ({"output": "csv"}, '"output"'),
+    ({"estimators": 5}, '"estimators"'),
+])
+def test_config_entries_of_the_wrong_shape_exit_one(tmp_path, capsys, overrides,
+                                                     entry):
+    # each once ended in a traceback instead of an error line
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and entry in err
+
+
 def test_bundled_table_config_parses():
     # the shipped desk-scale configs drive the full benchmark grid
     assert main(["asymptotic", "--config", "configs/table1.json",

@@ -12,8 +12,9 @@ from tailrisk.errors import ValidationError
 from tailrisk.tails import (chi_radial, estar_hazard_single, estar_single,
                             exp_power_radial, is_tuning_b, is_tuning_b_vector,
                             make_radial, marginal_tail_single, marginal_tails,
-                            normal_tail, sphere_expectation)
-from conftest import is_density, sphere_density, two_risk_model
+                            normal_tail)
+from conftest import (is_density, sphere_density, sphere_expectation,
+                      two_risk_model)
 
 mp.mp.dps = 30
 
@@ -243,6 +244,105 @@ def test_marginal_tail_generic_vs_monte_carlo():
     hits = float(np.mean(x > 10.0))
     se = math.sqrt(hits * (1 - hits) / n)
     assert abs(val - hits) < 4 * se
+
+
+# P(exp(R * Theta) > e^w) for the exp-power radius R (tail exp(-x^p)) and one
+# coordinate Theta of a uniform point on the d-sphere, keyed by (p, d), at
+# GENERIC_W (up to w = 30 for p = 2.5): 17 digits of
+# mp_generic_tail(p, d, w, breaks=240) at 40 digits, which agrees with 120
+# breakpoints at 30 digits to 3e-22 or better.  For p = 2.5 and w >= 18.9 the
+# value is below the double range, so the rule must return 0.
+GENERIC_W = (-3, -0.1, -1e-3, 1e-3, 0.01, 0.1, 0.5, 1, 3.1, 6.7, 11.5, 18.9, 30, 60)
+GENERIC_TAIL_EXACT = {
+    (1.5, 2): (
+        "9.9927409861372195e-1", "5.7296614784698846e-1", "5.0084067171524913e-1",
+        "4.9915932828475087e-1", "4.9185448444417923e-1", "4.2703385215301154e-1",
+        "2.2289782783146542e-1", "8.8927511960467796e-2", "5.4697242053283942e-4",
+        "2.2328359281763878e-9", "5.952576196712501e-19", "7.38603747998052e-38",
+        "1.1008735713025466e-73", "2.1722545727559778e-204"),
+    (1.5, 3): (
+        "9.9972293929179942e-1", "6.024484013569333e-1", "5.0130784661575144e-1",
+        "4.9869215338424856e-1", "4.8760518235026662e-1", "3.975515986430667e-1",
+        "1.6918427358638566e-1", "5.5737226441354523e-2", "2.0495283289914805e-4",
+        "5.1759658965406211e-10", "9.4904556306806199e-20", "8.2277121464803235e-39",
+        "8.7292044229782435e-75", "1.0286439016435926e-205"),
+    (1.5, 10): (
+        "9.999950312134181e-1", "6.9049178734559897e-1", "5.0299191566598724e-1",
+        "4.9700808433401276e-1", "4.7280987293661144e-1", "3.0950821265440103e-1",
+        "6.2594427265239681e-2", "9.6709213750868974e-3", "3.3481535174701115e-6",
+        "6.0114292057305318e-13", "1.1025465784535967e-23", "9.2089997395910745e-44",
+        "9.8687408627140421e-81", "3.3464731880340451e-213"),
+    (2.5, 2): (
+        "9.9999998945033981e-1", "5.4797175757312909e-1", "5.0047403310414281e-1",
+        "4.9952596689585719e-1", "4.9525728061013994e-1", "4.5202824242687091e-1",
+        "2.543958810610023e-1", "7.1244078179380226e-2", "2.6791778659342706e-9",
+        "8.031427451418836e-53", "2.0069562443278641e-197", "2.3616482233979748e-677",
+        "5.0065390704811223e-2144"),
+    (2.5, 3): (
+        "9.9999999799179707e-1", "5.7340614448206255e-1", "5.0074458558348094e-1",
+        "4.9925541441651906e-1", "4.9255737208301926e-1", "4.2659385551793745e-1",
+        "1.8474300239726734e-1", "3.7061041216019653e-2", "4.9139073235987107e-10",
+        "5.859868441295898e-54", "7.4965879375549465e-199", "4.7475497466184153e-679",
+        "5.6512499214503537e-2146"),
+    (2.5, 10): (
+        "9.9999999999935764e-1", "6.5779277738050403e-1", "5.017333496444772e-1",
+        "4.982666503555228e-1", "4.8273033446061659e-1", "3.4220722261949597e-1",
+        "5.1770835141498927e-2", "2.4519758712986242e-3", "1.254141336821535e-13",
+        "3.6718984994015643e-60", "4.6663501983308784e-207", "3.940880364655856e-689",
+        "8.3011073986391484e-2158"),
+}
+
+
+def mp_generic_tail(p, d, w, breaks=120):
+    """mpmath oracle for P(exp(R * Theta) > e^w): the integral over t in (0, 1)
+    of P(R > |w| / theta) f(theta) dtheta/dt with theta = 1 - t^2, on uniform
+    breakpoints, and its complement for w < 0.  The integrand carries the factor
+    exp(|w|^p) because mp.quad's tolerance is absolute: without it, tails far
+    below 1 stop at the first refinement."""
+    p, w = mp.mpf(p), mp.mpf(w)
+    a = abs(w)
+    c = mp.gamma(mp.mpf(d) / 2) / (mp.sqrt(mp.pi) * mp.gamma(mp.mpf(d - 1) / 2))
+    ex = mp.mpf(d - 3) / 2
+
+    def g(t):
+        theta = 1 - t * t
+        if theta <= 0:
+            return mp.zero
+        return (2 * c * t ** (d - 2) * (2 - t * t) ** ex
+                * mp.exp(a ** p - (a / theta) ** p))
+
+    val = mp.quad(g, mp.linspace(0, 1, breaks)) * mp.exp(-a ** p)
+    return val if w >= 0 else 1 - val
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5])
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_generic_marginal_tail_vs_mpmath(p, d):
+    # the fixed rule against the converged oracle, from w = -3 to the far tail
+    # (elliptical-1t's ak rows sit at w = 3.1 to 18.9); an underflowed value
+    # must be exactly 0
+    law = exp_power_radial(p)
+    for w, exact in zip(GENERIC_W, GENERIC_TAIL_EXACT[p, d]):
+        got = marginal_tail_single(math.exp(w), 1.0, 1.0, law, d)
+        assert got == pytest.approx(float(exact), rel=1e-11, abs=0.0), w
+
+
+@pytest.mark.parametrize("p, d, w", [(1.5, 2, 18.9), (1.5, 10, 60),
+                                     (2.5, 10, 6.7), (2.5, 2, -0.1)])
+def test_generic_tail_constants_recompute(p, d, w):
+    exact = GENERIC_TAIL_EXACT[p, d][GENERIC_W.index(w)]
+    assert mp_generic_tail(p, d, w) == pytest.approx(mp.mpf(exact), rel=1e-16)
+
+
+def test_generic_tail_constants_d3_closed_form():
+    # for d = 3 Theta is uniform on (-1, 1), and the tail integral is
+    # (a / 2p) * Gamma(-1/p, a^p) with a = |w|: an oracle free of quadrature
+    for p in (1.5, 2.5):
+        for w, exact in zip(GENERIC_W, GENERIC_TAIL_EXACT[p, 3]):
+            a, q = abs(mp.mpf(w)), mp.mpf(p)
+            val = a / (2 * q) * mp.gammainc(-1 / q, a ** q)
+            val = val if w >= 0 else 1 - val
+            assert val == pytest.approx(mp.mpf(exact), rel=1e-16), (p, w)
 
 
 def test_marginal_tails_elementwise():
