@@ -51,6 +51,13 @@ def _entry(block: dict, key: str, cast, default=_REQUIRED):
             f'config entry "{key}" is malformed: {block[key]!r}') from None
 
 
+def _text(value) -> str:
+    """A string entry as it is; ``str`` would turn 5 into the path "5"."""
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
 def _build_model(cfg: dict):
     """Returns (model, default_rho_entry) from the config's model block."""
     block = cfg.get("model")
@@ -156,14 +163,14 @@ def _cmd_run(args) -> int:
         n = FULL_SCALE_N
         cmc_n = FULL_SCALE_N
     out_cfg = _entry(cfg, "output", dict, {})
-    fmt = args.format or _entry(out_cfg, "format", str, "csv")
+    fmt = args.format or _entry(out_cfg, "format", _text, "csv")
     if fmt not in FORMATTERS:
         raise ValidationError(f"unknown format {fmt!r}; choose from "
                               f"{', '.join(sorted(FORMATTERS))}")
+    out_path = args.out or _entry(out_cfg, "path", _text, None)
     rows = compare(model, rhos, us, kinds, n=n, seed=seed, cmc_n=cmc_n,
                    threads=threads)
     text = FORMATTERS[fmt](rows)
-    out_path = args.out or out_cfg.get("path")
     if out_path:
         Path(out_path).write_text(text)
     else:

@@ -23,14 +23,17 @@ Estimators run only as block engines (:func:`make_engine`), which vectorize
 replications; every block of ``randsrc.BLOCK_SIZE`` replications always
 generates its full draw layout, so results are identical however a run is
 chunked.  Everything that depends only on (model, u) is computed once by
-:func:`make_context` as plain arrays: the factors, the stratification weights
-(``tails.marginal_tails``, which ``ak`` also calls) and the per-stratum
-coefficients of the cores.  The f_IS tuning belongs to ``rn`` alone and is
-computed when its engine is built.  The conditional cores
-are pure functions of the context and the drawn coordinates, exposed
-separately (``*_values``) so tests can drive them with hand-picked inputs;
-each ends in one solve-and-measure step, a call to
-``rootfind.exceedance_bounds``.
+:func:`make_context` as plain arrays: the factors and the stratification
+weights (``tails.marginal_tails``, which ``ak`` also calls).  The f_IS tuning
+belongs to ``rn`` alone and is computed when its engine is built.
+
+The conditional cores (``*_values``, pure functions of the context and the
+drawn coordinates, so tests can drive them with hand-picked inputs) fix every
+coordinate but one driver t, which turns each log-risk into a line
+``logk_i + slopes_i * t``.  Each core builds its lines and hands them to one
+helper that solves the exceedance set with ``rootfind.exceedance_bounds``,
+cuts it to the window where risk j is the maximum (``mak``, ``rn``) and to the
+driver's domain, and takes the driver's measure of what is left.
 """
 
 from __future__ import annotations
@@ -113,8 +116,7 @@ class ReplicationContext:
 
     Immutable and shared read-only across workers by every estimator;
     streams stay outside.  ``factors[j]`` is A^(j) (see
-    ``linalg.factorize_all``), and the (d, d) arrays are indexed
-    [stratum j, risk i].
+    ``linalg.factorize_all``).
     """
 
     model: ModelSpec
@@ -124,9 +126,6 @@ class ReplicationContext:
     strat_total: float
     log_u: float             # -inf for u <= 0
     loglam: np.ndarray       # log(lam_i), (d,)
-    mak_slopes: np.ndarray   # bg_i * A^(j)[i, 0]
-    e2_coeff: np.ndarray     # bg_j - bg_i * A^(j)[i, 0]
-    dlog: np.ndarray         # log(lam_i) - log(lam_j)
 
     @property
     def d(self) -> int:
@@ -134,8 +133,7 @@ class ReplicationContext:
 
 
 def make_context(model: ModelSpec, u: float) -> ReplicationContext:
-    """Precompute factorizations, stratification weights and the per-stratum
-    coefficients of the conditional cores.
+    """Precompute the factorizations and the stratification weights.
 
     Underflowed marginal tails are kept as zeros here; ``make_engine``
     refuses every estimator but ``cmc`` when they all underflow.
@@ -144,14 +142,10 @@ def make_context(model: ModelSpec, u: float) -> ReplicationContext:
         raise ValidationError("threshold u must be nonnegative")
     factors = factorize_all(model.sigma)
     weights = tails.marginal_tails(model, u)
-    loglam = np.log(model.lam)
-    mak_slopes = model.bg * factors[:, :, 0]
     return ReplicationContext(
         model=model, u=u, factors=factors, strat_weights=weights,
         strat_total=float(weights.sum()),
-        log_u=float(np.log(u)) if u > 0 else -np.inf, loglam=loglam,
-        mak_slopes=mak_slopes, e2_coeff=model.bg[:, None] - mak_slopes,
-        dlog=loglam[None, :] - loglam[:, None])
+        log_u=float(np.log(u)) if u > 0 else -np.inf, loglam=np.log(model.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -167,30 +161,42 @@ def _normal_measure(lo, hi):
     return np.where(hi > lo, np.maximum(out, 0.0), 0.0)
 
 
-def _solve_and_measure(ctx, logk, slopes, w_lo, w_hi, dead, measure):
-    """Measure of {t : sum_i exp(logk_i + slopes_i t) > u} within the window
-    [w_lo, w_hi), zero on ``dead`` or empty windows.  Returns (values, ok).
+def _radial_measure(ctx):
+    """P(lo <= R < hi) for windows inside the radius domain [0, inf)."""
+    tail = ctx.model.radial.tail
 
-    Raising psi_hi to psi_lo leaves disjoint pieces as they are and turns the
+    def measure(lo, hi):
+        return np.where(hi > lo, np.maximum(tail(lo) - tail(hi), 0.0), 0.0)
+
+    return measure
+
+
+def _exceedance_measure(ctx, logk, slopes, j, t_min, measure):
+    """Measure of {t >= t_min : sum_i exp(logk_i + slopes_i t) > u}, for a
+    stratum ``j`` only where line j is the highest.  Returns (values, ok).
+
+    Line j is the highest on the intersection of the half-lines
+    {(slopes_j - slopes_i) t >= logk_i - logk_j}; at i == j both sides are 0.
+    A line as steep as j and above it leaves no window (a dead row).  Raising
+    psi_hi to psi_lo leaves disjoint pieces as they are and turns the
     whole-line encoding (+inf, -inf) into one left piece covering the window.
     """
     psi_lo, psi_hi, ok = exceedance_bounds(logk, slopes, ctx.log_u)
     psi_hi = np.maximum(psi_hi, psi_lo)
+    w_lo = np.full(psi_lo.shape, t_min)
+    w_hi = np.full(psi_lo.shape, np.inf)
+    dead = False
+    if j is not None:
+        g = slopes[:, j, None] - slopes
+        rhs = logk - logk[:, j, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = rhs / g
+        w_lo = np.maximum(np.max(np.where(g > 0, bound, -np.inf), axis=1), t_min)
+        w_hi = np.min(np.where(g < 0, bound, np.inf), axis=1)
+        dead = np.any((g == 0) & (rhs > 0), axis=1)
     vals = (measure(w_lo, np.minimum(psi_lo, w_hi))
             + measure(np.maximum(psi_hi, w_lo), w_hi))
     return np.where(dead | (w_lo >= w_hi), 0.0, vals), ok
-
-
-def _max_window(e2_coeff, rhs, j, d):
-    """Intersection over i != j of the half-lines {t * g_i >= rhs_i}."""
-    g = np.broadcast_to(e2_coeff, rhs.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = rhs / g
-    noti = np.arange(d)[None, :] != j
-    lo = np.max(np.where(noti & (g > 0), bound, -np.inf), axis=1)
-    hi = np.min(np.where(noti & (g < 0), bound, np.inf), axis=1)
-    dead = np.any(noti & (g == 0) & (rhs > 0), axis=1)
-    return lo, hi, dead
 
 
 # ---------------------------------------------------------------------------
@@ -205,29 +211,13 @@ def mak_conditional_values(ctx: ReplicationContext, j: int,
     driver of risk j.  Returns (values, converged): the standard-normal
     measure, in the driver coordinate, of {sum > u} & {X_j is the maximum}.
     """
-    if not ctx.model.radial.is_gaussian:
-        raise ValidationError(
-            "the conditional normal estimator requires the Gaussian radial law")
     bg = ctx.model.bg
     rest = np.atleast_2d(np.asarray(rest, dtype=float))
     if rest.shape[1] != ctx.d - 1:
         raise ValidationError(f"rest must have {ctx.d - 1} columns")
-    c = rest @ ctx.factors[j][:, 1:].T           # (mb, d) conditional offsets
-    logk = ctx.loglam[None, :] + bg[None, :] * c
-    slopes = np.broadcast_to(ctx.mak_slopes[j], logk.shape)
-    rhs = ctx.dlog[j][None, :] + bg[None, :] * c
-    w_lo, w_hi, dead = _max_window(ctx.e2_coeff[j], rhs, j, ctx.d)
-    return _solve_and_measure(ctx, logk, slopes, w_lo, w_hi, dead, _normal_measure)
-
-
-def _radial_measure(ctx):
-    """P(lo <= R < hi) for windows inside the radius domain [0, inf)."""
-    tail = ctx.model.radial.tail
-
-    def measure(lo, hi):
-        return np.where(hi > lo, np.maximum(tail(lo) - tail(hi), 0.0), 0.0)
-
-    return measure
+    logk = ctx.loglam + bg * (rest @ ctx.factors[j][:, 1:].T)
+    slopes = np.broadcast_to(bg * ctx.factors[j][:, 0], logk.shape)
+    return _exceedance_measure(ctx, logk, slopes, j, -np.inf, _normal_measure)
 
 
 def rn_conditional_values(ctx: ReplicationContext, j: int, theta_j: np.ndarray,
@@ -248,12 +238,9 @@ def rn_conditional_values(ctx: ReplicationContext, j: int, theta_j: np.ndarray,
     theta = u_sphere @ ctx.factors[j].T                   # (mb, d), theta[:, j] == theta_j
     logw = (log_sphere_density(ctx.d, theta_j)
             - log_is_density(a, b, theta_j))
-    slopes = bg[None, :] * theta
-    e2 = bg[j] * theta_j[:, None] - bg[None, :] * theta
-    w_lo, w_hi, dead = _max_window(e2, np.broadcast_to(ctx.dlog[j], e2.shape), j, ctx.d)
-    w_lo = np.maximum(w_lo, 0.0)                          # radius domain
-    vals, ok = _solve_and_measure(ctx, np.broadcast_to(ctx.loglam, slopes.shape),
-                                  slopes, w_lo, w_hi, dead, _radial_measure(ctx))
+    slopes = bg * theta
+    vals, ok = _exceedance_measure(ctx, np.broadcast_to(ctx.loglam, slopes.shape),
+                                   slopes, j, 0.0, _radial_measure(ctx))
     return np.exp(logw) * vals, ok
 
 
@@ -265,12 +252,9 @@ def zr_values(ctx: ReplicationContext,
     P(R < psi_lo) 1{psi_lo > 0} + P(R > psi_hi), i.e. the radial measure of
     the exceedance set restricted to the nonnegative half-line.
     """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    slopes = ctx.model.bg[None, :] * theta
-    mcount = theta.shape[0]
-    return _solve_and_measure(ctx, np.broadcast_to(ctx.loglam, slopes.shape), slopes,
-                              np.zeros(mcount), np.full(mcount, np.inf), False,
-                              _radial_measure(ctx))
+    slopes = ctx.model.bg * np.atleast_2d(np.asarray(theta, dtype=float))
+    return _exceedance_measure(ctx, np.broadcast_to(ctx.loglam, slopes.shape),
+                               slopes, None, 0.0, _radial_measure(ctx))
 
 
 def _risks(ctx: ReplicationContext, w: np.ndarray) -> np.ndarray:
@@ -375,7 +359,8 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind
     values for those rows; its draw layout is fixed by (estimator, model, u)
     so replication k sees the same randomness regardless of chunking.  An
     ``rn`` engine tunes its f_IS shape parameters for ``kind.a`` here.
-    Every kind but ``cmc``, whose zero is an honest hit count, raises
+    ``mak`` on a non-Gaussian radial law raises ``ValidationError``.  Every
+    kind but ``cmc``, whose zero is an honest hit count, raises
     ``ThresholdTooExtremeError`` where all marginal tails underflow.
     """
     d = ctx.d
@@ -393,6 +378,9 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind
                 return BlockResult(cmc_values(ctx, w), 0, 0)
         return engine
 
+    if kname == "mak" and not ctx.model.radial.is_gaussian:
+        raise ValidationError("mak conditions on a normal coordinate: it "
+                              "requires the Gaussian radial law")
     if not np.isfinite(ctx.strat_total) or ctx.strat_total <= 0.0:
         raise ThresholdTooExtremeError(
             f"all marginal tails underflowed at u={ctx.u:g}: threshold too extreme")

@@ -156,6 +156,10 @@ def run(model: ModelSpec, u: float, kind: EstimatorKind | str, n: int,
         if not identical_marginals(m):
             flags.append("ak-symmetrized-heuristic")
         flags.append("ak-biased-dependent-risks")
+    if kind.name == "rn" and m.d >= 2 and u < m.d * np.max(m.lam):
+        # stratum j needs theta_j < 0 here, where f/f_IS is unbounded: the
+        # variance is infinite and runs read low with too small an se
+        flags.append("rn-unbounded-weight")
     if moments.clamped:
         flags.append(f"theta-clamped:{moments.clamped}")
     if moments.failures:

@@ -165,6 +165,7 @@ _RAW_TWO_RISKS = {"lambda": [1.0, 1.0], "beta": [1.0, 1.0],
     ({"model": {"raw": {**_RAW_TWO_RISKS, "radial": 5}}}, '"radial"'),
     ({"output": "csv"}, '"output"'),
     ({"estimators": 5}, '"estimators"'),
+    ({"output": {"path": 5}}, '"path"'),
 ])
 def test_config_entries_of_the_wrong_shape_exit_one(tmp_path, capsys, overrides,
                                                      entry):

@@ -228,13 +228,67 @@ def test_mak_stratified_unbiased_vs_cmc():
 
 
 def test_mak_requires_gaussian_radial():
+    # refused when the engine is built, before any draw
+    from tailrisk.tails import exp_power_radial
     m = two_risk_model()
     generic_law = dataclasses.replace(chi_radial(2), gaussian_dim=None)
     mg = ModelSpec(lam=m.lam, beta=m.beta, gamma=m.gamma, sigma=m.sigma,
                    radial=generic_law)
-    ctx = make_context(mg, 10.0)
     with pytest.raises(ValidationError, match="Gaussian"):
-        mak_conditional_values(ctx, 0, np.array([[0.0]]))
+        make_engine(make_context(mg, 10.0), EstimatorKind("mak"))
+    ref = reference_model(0.4)
+    elliptical = ModelSpec(lam=ref.lam, beta=ref.beta, gamma=ref.gamma,
+                           sigma=ref.sigma, radial=exp_power_radial(1.5))
+    with pytest.raises(ValidationError, match="Gaussian"):
+        run(elliptical, 2e4, "mak", 4096, seed=1)
+
+
+@pytest.mark.parametrize("t_min", [-np.inf, 0.0])
+def test_max_window_matches_grid_argmax(t_min):
+    # at u = 0 the whole line exceeds, so the helper measures exactly the
+    # window where line j is the highest, cut to the domain; the measure
+    # records that window on its first call.  Integer slopes and half the
+    # levels integer force slope ties (dead rows when the tied line is above
+    # j) and rows where j never wins.
+    gen = np.random.default_rng(5)
+    d, m = 4, 400
+    ctx = make_context(from_lognormal(np.zeros(d), np.ones(d)), 0.0)
+    slopes = gen.integers(-2, 3, (m, d)).astype(float)
+    logk = np.where(gen.random((m, d)) < 0.5, gen.integers(-3, 4, (m, d)),
+                    gen.normal(0.0, 2.0, (m, d)))
+    grid = np.linspace(-30.0, 30.0, 60_001)
+    grid = grid[grid >= t_min]
+    lines = logk[:, :, None] + slopes[:, :, None] * grid      # (m, d, T)
+    calls = []
+
+    def measure(lo, hi):
+        calls.append((lo, hi))
+        return np.where(hi > lo, 1.0, 0.0)
+
+    for j in range(d):
+        calls.clear()
+        vals, ok = est._exceedance_measure(ctx, logk, slopes, j, t_min, measure)
+        w_lo, w_hi = calls[0]
+        assert ok.all() and np.all(w_lo >= t_min)
+        others = np.max(np.delete(lines, j, axis=1), axis=1)    # (m, T)
+        wins = lines[:, j] >= others
+        wins_strictly = lines[:, j] > others + 1e-9
+        inside = (grid > w_lo[:, None] + 1e-3) & (grid < w_hi[:, None] - 1e-3)
+        outside = (grid < w_lo[:, None] - 1e-3) | (grid > w_hi[:, None] + 1e-3)
+        live = vals > 0.0
+        assert np.all(wins[live] | ~inside[live])
+        assert not np.any(wins[live] & outside[live])
+        assert not np.any(wins_strictly[~live])
+        # a slope tie with a higher line is dead, whatever its window
+        tie_above = np.any((slopes == slopes[:, j, None]) & (logk > logk[:, j, None]),
+                           axis=1)
+        assert np.all(vals[tie_above] == 0.0)
+        assert tie_above.any() and (~live & ~tie_above).any()
+        assert (live & (w_lo == t_min)).any() and (live & (w_hi == np.inf)).any()
+    calls.clear()
+    vals, _ = est._exceedance_measure(ctx, logk, slopes, None, t_min, measure)
+    assert np.all(calls[0][0] == t_min) and np.all(calls[0][1] == np.inf)
+    assert np.all(vals == 1.0)
 
 
 # ---------------------------------------------------------------------------

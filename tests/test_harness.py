@@ -11,6 +11,7 @@ from tailrisk.harness import (CSV_COLUMNS, _Moments, attach_efficiency,
                               compare, resolve_threads, run, run_replications,
                               table_csv, table_markdown, table_text,
                               variance_trend)
+from tailrisk.model import from_lognormal, reference_model
 from conftest import two_risk_model
 
 
@@ -160,6 +161,44 @@ def test_stratified_engines_reject_extreme_threshold(name):
     ctx = make_context(two_risk_model(), 1e250)
     with pytest.raises(ThresholdTooExtremeError):
         make_engine(ctx, EstimatorKind(name))
+
+
+def test_rn_flagged_below_d_times_max_lambda():
+    # below u = d * max(lam) stratum j needs theta_j < 0, where the weight
+    # f/f_IS is unbounded: at u = 0.5, 2^16 reps, seed 7, rn read 0.817 +-
+    # 0.023 against mak's 0.985
+    m = from_lognormal([0.0, 0.0], [1.0, 1.0])
+    assert "rn-unbounded-weight" in run(m, 0.5, "rn", 2, seed=7).flags
+    assert "rn-unbounded-weight" not in run(m, 2.5, "rn", 2, seed=7).flags
+    assert "rn-unbounded-weight" not in run(m, 0.5, "mak", 2, seed=7).flags
+    for rho in (0.0, 0.4, 0.9):
+        for u in (2e4, 5e5):
+            assert run(reference_model(rho), u, "rn", 2, seed=1).flags == ()
+
+
+# (mean, per_rep_std) on reference_model(0.4), 4096 reps, seed 1, checked
+# in so that any drift in the arithmetic of a core shows in the test suite
+# and not only in benchmark digests.
+_PINNED = {
+    ("cmc", 20000.0): (0.00048828125, 0.02209438869033293),
+    ("ak", 20000.0): (0.001027471622381502, 0.0026150130636970214),
+    ("mak", 20000.0): (0.001050156555073057, 0.00014334961483486236),
+    ("rn", 20000.0): (0.0010578181246259438, 0.0009616716505763223),
+    ("zr", 20000.0): (0.0008407594041705326, 0.008027212344322169),
+    ("cmc", 500000.0): (0.0, 0.0),
+    ("ak", 500000.0): (1.8113502608378556e-05, 5.002757248288427e-05),
+    ("mak", 500000.0): (1.807298173525531e-05, 1.0878852519845216e-06),
+    ("rn", 500000.0): (1.800990092856462e-05, 1.8171049011077897e-05),
+    ("zr", 500000.0): (1.2850737477441378e-05, 0.00032326117589185705),
+}
+
+
+@pytest.mark.parametrize("kind, u", sorted(_PINNED))
+def test_estimates_pinned_on_the_reference_model(kind, u):
+    stats = run(reference_model(0.4), u, kind, 4096, seed=1)
+    mean, std = _PINNED[kind, u]
+    assert stats.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+    assert stats.per_rep_std == pytest.approx(std, rel=1e-12, abs=0.0)
 
 
 def test_variance_trend_flat_for_degenerate():
