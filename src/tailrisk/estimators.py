@@ -181,19 +181,20 @@ def _exceedance_measure(ctx, logk, slopes, j, t_min, measure):
     psi_hi to psi_lo leaves disjoint pieces as they are and turns the
     whole-line encoding (+inf, -inf) into one left piece covering the window.
     """
-    psi_lo, psi_hi, ok = exceedance_bounds(logk, slopes, ctx.log_u)
+    logk, slopes = np.ascontiguousarray(logk.T), np.ascontiguousarray(slopes.T)  # (d, m)
+    psi_lo, psi_hi, ok = exceedance_bounds(logk.T, slopes.T, ctx.log_u)
     psi_hi = np.maximum(psi_hi, psi_lo)
     w_lo = np.full(psi_lo.shape, t_min)
     w_hi = np.full(psi_lo.shape, np.inf)
     dead = False
     if j is not None:
-        g = slopes[:, j, None] - slopes
-        rhs = logk - logk[:, j, None]
+        g = slopes[j] - slopes
+        rhs = logk - logk[j]
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = rhs / g
-        w_lo = np.maximum(np.max(np.where(g > 0, bound, -np.inf), axis=1), t_min)
-        w_hi = np.min(np.where(g < 0, bound, np.inf), axis=1)
-        dead = np.any((g == 0) & (rhs > 0), axis=1)
+        w_lo = np.maximum(np.max(np.where(g > 0, bound, -np.inf), axis=0), t_min)
+        w_hi = np.min(np.where(g < 0, bound, np.inf), axis=0)
+        dead = np.any((g == 0) & (rhs > 0), axis=0)
     vals = (measure(w_lo, np.minimum(psi_lo, w_hi))
             + measure(np.maximum(psi_hi, w_lo), w_hi))
     return np.where(dead | (w_lo >= w_hi), 0.0, vals), ok
@@ -258,19 +259,19 @@ def zr_values(ctx: ReplicationContext,
 
 
 def _risks(ctx: ReplicationContext, w: np.ndarray) -> np.ndarray:
-    """The risks lam_i * exp(bg_i * Y_i) for driver-coordinate rows ``w``,
-    with Y = w A^T for the plain Cholesky factor A."""
+    """The risks lam_i * exp(bg_i * Y_i), terms-major (d, m), for driver-
+    coordinate rows ``w``, with Y = A w^T for the plain Cholesky factor A."""
     m = ctx.model
-    y = w @ ctx.factors[0].T
+    y = ctx.factors[0] @ w.T
     with np.errstate(over="ignore"):
-        return m.lam * np.exp(m.bg * y)
+        return m.lam[:, None] * np.exp(m.bg[:, None] * y)
 
 
 def cmc_values(ctx: ReplicationContext, w: np.ndarray) -> np.ndarray:
     """Indicator of S(u) > u from driver-coordinate draws: standard normals
     (Gaussian radial) or rows R * U (any radial law)."""
     with np.errstate(over="ignore"):
-        s = np.sum(_risks(ctx, w), axis=1)
+        s = np.sum(_risks(ctx, w), axis=0)
     return (s > ctx.u).astype(float)
 
 
@@ -284,10 +285,10 @@ def ak_values(ctx: ReplicationContext, normals: np.ndarray,
     the inner maximum is over nothing, -inf.
     """
     x = _risks(ctx, normals)
-    s = np.sum(x, axis=1)
-    x_cond = x[np.arange(x.shape[0]), cond]
-    masked = np.where(np.arange(ctx.d)[None, :] == cond[:, None], -np.inf, x)
-    arg = np.maximum(ctx.u + x_cond - s, np.max(masked, axis=1))
+    s = np.sum(x, axis=0)
+    x_cond = x[cond, np.arange(x.shape[1])]
+    masked = np.where(np.arange(ctx.d)[:, None] == cond, -np.inf, x)
+    arg = np.maximum(ctx.u + x_cond - s, np.max(masked, axis=0))
     arg = np.maximum(arg, np.finfo(float).tiny)     # argument is positive a.s.
     return ctx.d * tails.marginal_tails(ctx.model, arg, cond)
 
@@ -343,7 +344,7 @@ def _stratified_engine(ctx, core):
                 continue
             vals, fails, clamps = _redrawn(partial(core, gen, j), rows.size,
                                            f"in stratum {j}")
-            values[rows] = ztot * vals / z[j]
+            values[rows] = vals * (ztot / z[j])     # ztot * vals underflows
             failures += fails
             clamped += clamps
         return BlockResult(values, failures, clamped)

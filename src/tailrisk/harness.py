@@ -273,7 +273,7 @@ def variance_trend(model: ModelSpec, kind, u_grid: Sequence[float], n: int,
 # ---------------------------------------------------------------------------
 
 CSV_COLUMNS = ("rho", "u", "method", "estimate", "per_rep_std", "cv",
-               "se_of_mean", "wall_s", "time_per_5e5_s", "efficiency")
+               "se_of_mean", "wall_s", "time_per_5e5_s", "efficiency", "flags")
 
 
 def _cells(row: TableRow) -> list[str]:
@@ -281,7 +281,7 @@ def _cells(row: TableRow) -> list[str]:
     eff = "" if s.efficiency is None else f"{s.efficiency:.6g}"
     return [row.rho_label, f"{row.u:.12g}", s.estimator, f"{s.mean:.12g}",
             f"{s.per_rep_std:.12g}", f"{s.cv:.12g}", f"{s.se_of_mean:.12g}",
-            f"{s.wall_time:.6g}", f"{s.time_per_5e5:.6g}", eff]
+            f"{s.wall_time:.6g}", f"{s.time_per_5e5:.6g}", eff, ";".join(s.flags)]
 
 
 def table_csv(rows: Sequence[TableRow]) -> str:

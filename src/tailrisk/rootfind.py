@@ -26,9 +26,9 @@ below ``f``, so each Newton step moves left, keeps ``f >= 0`` and never
 passes the root: no bracket or bisection is needed.  An iterate with
 ``f' <= 0`` while ``f > 0`` lies left of the minimizer with the whole ray
 from the start above the level, so the minimum is above the level and the
-whole line exceeds.  The left boundary is the same solve with the slopes
-negated.  A row with a single active term starts on its exact root and
-stops there.
+whole line exceeds.  The left boundary is the same solve on the mirrored sum
+``h(-x)``, which flips the sign of the iterate, not of the slopes.  A row
+with a single active term starts on its exact root and stops there.
 """
 
 from __future__ import annotations
@@ -40,36 +40,40 @@ _F_ATOL = 1e-13          # stop once log h(x) - log level is at most this
 _MAX_ITER = 200
 
 
-def _lse_grad(logc, s, t):
-    """Row-wise log h(t) and its slope, for rows of log-coefficients and slopes."""
-    z = logc + s * t[:, None]
-    m = np.max(z, axis=1)
+def _lse_grad(logc, s, x):
+    """Per column, log h(x) and its slope, for terms-major (d, m) logc and s."""
+    z = logc + s * x
+    m = np.max(z, axis=0)
     safe = np.where(np.isfinite(m), m, 0.0)
-    w = np.exp(z - safe[:, None])
-    sw = np.sum(w, axis=1)
+    w = np.exp(np.subtract(z, safe, out=z), out=z)
+    sw = np.sum(w, axis=0)
     val = safe + np.log(sw)
-    grad = np.sum(w * s, axis=1) / sw
+    grad = np.sum(np.multiply(w, s, out=w), axis=0) / sw
     return val, grad
 
 
-def _right_roots(logc, s, level):
-    """Outside-in Newton for the right boundary of {lse(logc + s*t) > level}.
+def _right_roots(logc, s, sign, level):
+    """Outside-in Newton in t for the right boundary of
+    {lse(logc + s*sign*t) > level}, per column of terms-major (d, m) arrays.
 
-    Every row needs an active term (finite ``logc``) with a positive slope.
-    Returns (root, whole, ok): ``whole`` marks rows that exceed the level on
-    the whole line (their ``root`` is meaningless); ``ok`` is False on rows
-    whose iteration failed (a non-finite step or ``_MAX_ITER`` reached).
-    Only rows still iterating are evaluated at each step.
+    ``sign = -1`` solves the mirrored sum, whose right boundary is minus the
+    left one.  Every column needs an active term (finite ``logc``) with
+    ``s*sign > 0``.  Returns (root, whole, ok): ``whole`` marks columns that
+    exceed the level on the whole line (their ``root`` is meaningless); ``ok``
+    is False where the iteration failed (a non-finite step or ``_MAX_ITER``).
+    Only columns still iterating are evaluated at each step.
     """
+    ms = s * sign
     with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (level[:, None] - logc) / s
-    t = np.min(np.where(np.isfinite(logc) & (s > 0.0), cross, np.inf), axis=1)
+        cross = (level - logc) / ms          # +inf for an absent term
+    t = np.min(np.where(ms > 0.0, cross, np.inf), axis=0)
     root = t.copy()
     whole = np.zeros(t.size, dtype=bool)
     ok = np.zeros(t.size, dtype=bool)
     idx = np.arange(t.size)
     for _ in range(_MAX_ITER):
-        val, g = _lse_grad(logc, s, t)
+        val, g = _lse_grad(logc, s, sign * t)
+        g *= sign
         f = val - level
         fin = np.isfinite(f)
         turn = g <= 0.0
@@ -85,7 +89,9 @@ def _right_roots(logc, s, level):
         keep = ~(conv | turn) & np.isfinite(tn)
         if not keep.any():
             break
-        idx, logc, s, level, t = idx[keep], logc[keep], s[keep], level[keep], tn[keep]
+        # compress, not boolean indexing: L[:, mask] is F-ordered
+        idx, sign, level, t = idx[keep], sign[keep], level[keep], tn[keep]
+        logc, s = logc.compress(keep, axis=1), s.compress(keep, axis=1)
     return root, whole, ok
 
 
@@ -99,14 +105,17 @@ def exceedance_bounds(logc: np.ndarray, slopes: np.ndarray, log_level):
     log_level : scalar or (n,); ``-inf`` means a nonpositive level, which the
         positive sum always exceeds.
 
+    The solver reduces along axis 0 of terms-major (d, n) copies; the ``.T``
+    of a C-contiguous (d, n) array is read without a copy.
+
     Returns
     -------
     (psi_lo, psi_hi, ok) with the encoding described in the module docstring;
     ``ok`` is False on rows whose Newton iteration failed to converge.
     """
-    logc = np.asarray(logc, dtype=float)
-    slopes = np.asarray(slopes, dtype=float)
-    n, _ = logc.shape
+    logc = np.ascontiguousarray(np.asarray(logc, dtype=float).T)
+    slopes = np.ascontiguousarray(np.asarray(slopes, dtype=float).T)
+    n = logc.shape[1]
     level = np.broadcast_to(np.asarray(log_level, dtype=float), (n,)).astype(float).copy()
 
     psi_lo = np.full(n, -np.inf)
@@ -121,10 +130,10 @@ def exceedance_bounds(logc: np.ndarray, slopes: np.ndarray, log_level):
     zmask = present & (slopes == 0.0)
     if np.any(zmask):
         zc = np.where(zmask, logc, -np.inf)
-        m0 = np.max(zc, axis=1)
+        m0 = np.max(zc, axis=0)
         zrows = np.flatnonzero(m0 > -np.inf)
         m0 = m0[zrows]
-        logc0 = m0 + np.log(np.sum(np.exp(zc[zrows] - m0[:, None]), axis=1))
+        logc0 = m0 + np.log(np.sum(np.exp(np.take(zc, zrows, axis=1) - m0), axis=0))
         swallow = logc0 >= level[zrows]
         whole[zrows[swallow]] = True
         adj = zrows[~swallow]
@@ -136,14 +145,14 @@ def exceedance_bounds(logc: np.ndarray, slopes: np.ndarray, log_level):
     # rows with no variable term and constant below the level are empty:
     # the default (-inf, +inf) already encodes the empty set.
     act = present & (slopes != 0.0)
-    right = np.flatnonzero(~whole & np.any(act & (slopes > 0.0), axis=1))
-    left = np.flatnonzero(~whole & np.any(act & (slopes < 0.0), axis=1))
+    right = np.flatnonzero(~whole & np.any(act & (slopes > 0.0), axis=0))
+    left = np.flatnonzero(~whole & np.any(act & (slopes < 0.0), axis=0))
     # one batch: the right boundaries, then the left ones as right boundaries
     # of the mirrored sums
     rows = np.concatenate([right, left])
     sign = np.repeat([1.0, -1.0], [right.size, left.size])
-    root, over, conv = _right_roots(np.where(act[rows], logc[rows], -np.inf),
-                                    slopes[rows] * sign[:, None], level[rows])
+    root, over, conv = _right_roots(np.take(np.where(act, logc, -np.inf), rows, axis=1),
+                                    np.take(slopes, rows, axis=1), sign, level[rows])
     psi_hi[right] = root[:right.size]
     psi_lo[left] = -root[right.size:]
     ok[rows[~conv]] = False

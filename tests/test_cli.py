@@ -53,6 +53,24 @@ def test_run_stdout_and_md(tmp_path, capsys):
     assert out.startswith("| rho | u | method")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_run_flags_column(tmp_path, capsys, fmt):
+    # rn below u = d * max(lam) carries an unbounded weight: the row says so
+    # in the trailing column, and the existing columns keep their positions
+    cfg = write_config(tmp_path, u=[0.5], estimators=["mak", "rn"], n=4096)
+    assert main(["run", "--config", cfg, "--format", fmt]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if fmt == "csv":
+        cells = [line.split(",") for line in lines]
+    else:
+        cells = [[c.strip() for c in line.split("|")[1:-1]]
+                 for line in lines[:1] + lines[2:]]
+    assert cells[0][:3] == ["rho", "u", "method"] and cells[0][-1] == "flags"
+    assert cells[1][2] == "MAK" and cells[1][-1] == ""
+    assert cells[2][2].startswith("RN")
+    assert "rn-unbounded-weight" in cells[2][-1].split(";")
+
+
 def test_flag_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path, estimators=["cmc"])
     assert main(["run", "--config", cfg, "--n", "3000", "--u", "5.0,20.0",

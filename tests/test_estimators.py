@@ -109,6 +109,28 @@ def test_ak_hand_value():
     assert got[0] == pytest.approx(want, rel=1e-12)
 
 
+def test_cmc_and_ak_match_a_row_major_reference():
+    # the risks are summed terms-major; only the order of the d additions
+    # differs from a row-per-replication reference
+    m = reference_model(0.4)
+    u = 2e4
+    ctx = make_context(m, u)
+    gen = np.random.default_rng(9)
+    normals = gen.standard_normal((4096, m.d))
+    cond = gen.integers(0, m.d, 4096)
+    x = m.lam * np.exp(m.bg * (normals @ ctx.factors[0].T))
+    s = x.sum(axis=1)
+    others = np.where(np.arange(m.d) == cond[:, None], -np.inf, x).max(axis=1)
+    arg = np.maximum(u + x[np.arange(4096), cond] - s, others)
+    want_ak = m.d * tails.marginal_tails(m, arg, cond)
+    np.testing.assert_allclose(ak_values(ctx, normals, cond), want_ak, rtol=1e-14, atol=0)
+    w = 3.0 * normals                       # enough rows above u to compare
+    want_cmc = (np.sum(m.lam * np.exp(m.bg * (w @ ctx.factors[0].T)), axis=1) > u)
+    got_cmc = est.cmc_values(ctx, w)
+    assert 0 < want_cmc.sum() < want_cmc.size
+    np.testing.assert_allclose(got_cmc, want_cmc.astype(float), rtol=1e-14, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # conditional normal estimator
 # ---------------------------------------------------------------------------
@@ -491,6 +513,19 @@ def test_context_at_huge_threshold_is_silent():
         warnings.simplefilter("error", RuntimeWarning)
         ctx = make_context(reference_model(0.0), 1e308)
     assert ctx.strat_total == 0.0
+
+
+def test_far_tail_estimates_do_not_underflow_to_zero():
+    # at u = 1e40 the marginal sum is about 8.5e-187, so ztot * Z_j underflows
+    # before the division by z_j; alpha is the marginal sum to within the
+    # one-big-jump correction
+    m = reference_model(0.0)
+    ctx = make_context(m, 1e40)
+    assert 0.0 < ctx.strat_total < 1e-150
+    mak = run(m, 1e40, "mak", 4096, seed=3, ctx=ctx).mean
+    rn = run(m, 1e40, "rn", 4096, seed=3, ctx=ctx).mean
+    assert abs(mak / ctx.strat_total - 1.0) < 1e-3
+    assert abs(rn / ctx.strat_total - 1.0) < 0.15
 
 
 @pytest.mark.parametrize("kind", ["mak", "zr", "rn"])

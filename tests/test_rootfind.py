@@ -155,6 +155,43 @@ def test_batched_matches_scalar():
             assert np.isclose(hi[i], want_hi, atol=1e-9, rtol=1e-9, equal_nan=False)
 
 
+def test_memory_layout_does_not_change_the_bounds():
+    # the solver reduces over terms-major copies of its inputs, so row-major
+    # rows, the transpose of a terms-major array and a stride-0 broadcast of
+    # one coefficient row must give the same bits
+    rng = np.random.default_rng(2005)
+    logc_row = np.array([0.0, 0.5, -1.0, 1.0])
+    slopes = np.vstack([
+        [1.0, 2.0, 0.5, 1.0],         # increasing
+        [-1.0, -2.0, -0.5, -1.0],     # decreasing
+        [1.0, -1.0, 2.0, -0.5],       # mixed
+        [0.0, 1.0, -1.0, 2.0],        # zero-slope term folded into the level
+        [0.0, 0.0, 0.0, 1.0],         # folded constant swallows the level
+        [-1.0, 1.0, -1.0, 1.0],       # mixed, minimum above the level
+        [0.0, 0.0, 0.0, 0.0],         # constant below the level: empty
+        rng.normal(0.0, 1.5, (400, 4)),
+    ])
+    tail = rng.normal(3.0, 2.0, 400)
+    tail[rng.random(400) < 0.05] = -np.inf            # nonpositive levels
+    level = np.concatenate([[3.0, 3.0, 3.0, 3.0, 1.0, 0.5, 3.0], tail])
+    logc = np.broadcast_to(logc_row, slopes.shape)
+    runs = [exceedance_bounds(np.ascontiguousarray(logc), slopes, level),
+            exceedance_bounds(np.ascontiguousarray(logc.T).T,
+                              np.ascontiguousarray(slopes.T).T, level),
+            exceedance_bounds(logc, slopes, level)]
+    lo, hi, ok = runs[0]
+    assert ok.all()
+    assert np.isneginf(lo[0]) and np.isfinite(hi[0])
+    assert np.isfinite(lo[1]) and np.isposinf(hi[1])
+    assert np.isfinite(lo[2]) and np.isfinite(hi[2]) and lo[2] < hi[2]
+    assert np.isfinite(lo[3]) and np.isfinite(hi[3])
+    assert lo[4] >= hi[4] and lo[5] >= hi[5]
+    assert np.isneginf(lo[6]) and np.isposinf(hi[6])
+    for other in runs[1:]:
+        for a, b in zip(runs[0], other):
+            assert np.array_equal(a, b)
+
+
 def test_near_degenerate_negative_slope():
     # a barely negative slope still owns the left branch; the crossing point
     # sits far out and the bracket endpoint residual rounds to zero, which
