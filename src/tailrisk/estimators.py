@@ -30,10 +30,11 @@ belongs to ``rn`` alone and is computed when its engine is built.
 The conditional cores (``*_values``, pure functions of the context and the
 drawn coordinates, so tests can drive them with hand-picked inputs) fix every
 coordinate but one driver t, which turns each log-risk into a line
-``logk_i + slopes_i * t``.  Each core builds its lines and hands them to one
-helper that solves the exceedance set with ``rootfind.exceedance_bounds``,
-cuts it to the window where risk j is the maximum (``mak``, ``rn``) and to the
-driver's domain, and takes the driver's measure of what is left.
+``logk_i + slopes_i * t``.  Each core builds its lines terms-major, (d, m),
+and hands them with the driver's upper tail to one helper that solves the
+exceedance set with ``rootfind.exceedance_bounds``, cuts it to the window
+where risk j is the maximum (``mak``, ``rn``) and to the driver's domain, and
+measures what is left as a difference of upper tails.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from .errors import (NumericalAbortError, ThresholdTooExtremeError,
 from .linalg import factorize_all
 from .model import ModelSpec
 from .rootfind import exceedance_bounds
-from .tails import log_is_density, log_sphere_density, normal_cdf, normal_tail
+from .tails import log_is_density, log_sphere_density, normal_tail
+from .tails import normal_cdf  # noqa: F401  unused; bench/tracing.py patches it by name
 
 _THETA_CLAMP = 1.0 - 1e-15
 _REDRAW_ATTEMPTS = 8
@@ -152,52 +154,45 @@ def make_context(model: ModelSpec, u: float) -> ReplicationContext:
 # interval measures
 # ---------------------------------------------------------------------------
 
-def _normal_measure(lo, hi):
-    """P(lo <= N < hi), using the numerically favorable tail difference."""
-    upper = normal_tail(lo) - normal_tail(hi)
-    lower = normal_cdf(hi) - normal_cdf(lo)
-    with np.errstate(invalid="ignore"):      # -inf + inf rows take either branch
-        out = np.where(lo + hi > 0.0, upper, lower)
-    return np.where(hi > lo, np.maximum(out, 0.0), 0.0)
+def _tail_measure(tail, lo, hi):
+    """P(lo <= X < hi) = tail(lo) - tail(hi) for the driver's upper tail.
+
+    A live piece with lo + hi <= 0 is mirrored to (-hi, -lo) first, where the
+    difference of two small tails keeps its precision; that needs a symmetric
+    law, and a radius piece, inside [0, inf), is never mirrored.
+    """
+    live = hi > lo
+    with np.errstate(invalid="ignore"):      # -inf + inf: not mirrored
+        flip = live & (lo + hi <= 0.0)
+    out = tail(np.where(flip, -hi, lo)) - tail(np.where(flip, -lo, hi))
+    return np.where(live, np.maximum(out, 0.0), 0.0)
 
 
-def _radial_measure(ctx):
-    """P(lo <= R < hi) for windows inside the radius domain [0, inf)."""
-    tail = ctx.model.radial.tail
-
-    def measure(lo, hi):
-        return np.where(hi > lo, np.maximum(tail(lo) - tail(hi), 0.0), 0.0)
-
-    return measure
-
-
-def _exceedance_measure(ctx, logk, slopes, j, t_min, measure):
-    """Measure of {t >= t_min : sum_i exp(logk_i + slopes_i t) > u}, for a
-    stratum ``j`` only where line j is the highest.  Returns (values, ok).
+def _exceedance_measure(ctx, logk, slopes, j, t_min, tail):
+    """Measure under the upper tail ``tail`` of {t >= t_min : sum_i exp(logk_i
+    + slopes_i t) > u}, for a stratum ``j`` only where line j is the highest;
+    ``logk``, ``slopes``: terms-major (d, m) or (d, 1).  Returns (values, ok).
 
     Line j is the highest on the intersection of the half-lines
     {(slopes_j - slopes_i) t >= logk_i - logk_j}; at i == j both sides are 0.
-    A line as steep as j and above it leaves no window (a dead row).  Raising
-    psi_hi to psi_lo leaves disjoint pieces as they are and turns the
+    A line as steep as j and above it empties the window (w_hi = -inf).
+    Raising psi_hi to psi_lo leaves disjoint pieces as they are and turns the
     whole-line encoding (+inf, -inf) into one left piece covering the window.
     """
-    logk, slopes = np.ascontiguousarray(logk.T), np.ascontiguousarray(slopes.T)  # (d, m)
-    psi_lo, psi_hi, ok = exceedance_bounds(logk.T, slopes.T, ctx.log_u)
+    rows = np.broadcast_arrays(logk, slopes)      # the solver takes whole rows
+    psi_lo, psi_hi, ok = exceedance_bounds(rows[0].T, rows[1].T, ctx.log_u)
     psi_hi = np.maximum(psi_hi, psi_lo)
-    w_lo = np.full(psi_lo.shape, t_min)
-    w_hi = np.full(psi_lo.shape, np.inf)
-    dead = False
+    w_lo, w_hi = t_min, np.inf
     if j is not None:
         g = slopes[j] - slopes
         rhs = logk - logk[j]
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = rhs / g
         w_lo = np.maximum(np.max(np.where(g > 0, bound, -np.inf), axis=0), t_min)
-        w_hi = np.min(np.where(g < 0, bound, np.inf), axis=0)
-        dead = np.any((g == 0) & (rhs > 0), axis=0)
-    vals = (measure(w_lo, np.minimum(psi_lo, w_hi))
-            + measure(np.maximum(psi_hi, w_lo), w_hi))
-    return np.where(dead | (w_lo >= w_hi), 0.0, vals), ok
+        w_hi = np.min(np.where(g < 0, bound,
+                               np.where((g == 0) & (rhs > 0), -np.inf, np.inf)), axis=0)
+    return (_tail_measure(tail, w_lo, np.minimum(psi_lo, w_hi))
+            + _tail_measure(tail, np.maximum(psi_hi, w_lo), w_hi)), ok
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +211,10 @@ def mak_conditional_values(ctx: ReplicationContext, j: int,
     rest = np.atleast_2d(np.asarray(rest, dtype=float))
     if rest.shape[1] != ctx.d - 1:
         raise ValidationError(f"rest must have {ctx.d - 1} columns")
-    logk = ctx.loglam + bg * (rest @ ctx.factors[j][:, 1:].T)
-    slopes = np.broadcast_to(bg * ctx.factors[j][:, 0], logk.shape)
-    return _exceedance_measure(ctx, logk, slopes, j, -np.inf, _normal_measure)
+    f = ctx.factors[j]
+    logk = ctx.loglam[:, None] + bg[:, None] * (f[:, 1:] @ rest.T)
+    return _exceedance_measure(ctx, logk, (bg * f[:, 0])[:, None], j, -np.inf,
+                               normal_tail)
 
 
 def rn_conditional_values(ctx: ReplicationContext, j: int, theta_j: np.ndarray,
@@ -236,12 +232,11 @@ def rn_conditional_values(ctx: ReplicationContext, j: int, theta_j: np.ndarray,
     theta_j = np.atleast_1d(np.asarray(theta_j, dtype=float))
     rest = np.atleast_2d(np.asarray(rest, dtype=float))
     u_sphere = randsrc.assemble_sphere_with_driver(theta_j, rest)
-    theta = u_sphere @ ctx.factors[j].T                   # (mb, d), theta[:, j] == theta_j
+    theta = ctx.factors[j] @ u_sphere.T                   # (d, mb), theta[j] == theta_j
     logw = (log_sphere_density(ctx.d, theta_j)
             - log_is_density(a, b, theta_j))
-    slopes = bg * theta
-    vals, ok = _exceedance_measure(ctx, np.broadcast_to(ctx.loglam, slopes.shape),
-                                   slopes, j, 0.0, _radial_measure(ctx))
+    vals, ok = _exceedance_measure(ctx, ctx.loglam[:, None], bg[:, None] * theta,
+                                   j, 0.0, ctx.model.radial.tail)
     return np.exp(logw) * vals, ok
 
 
@@ -253,9 +248,9 @@ def zr_values(ctx: ReplicationContext,
     P(R < psi_lo) 1{psi_lo > 0} + P(R > psi_hi), i.e. the radial measure of
     the exceedance set restricted to the nonnegative half-line.
     """
-    slopes = ctx.model.bg * np.atleast_2d(np.asarray(theta, dtype=float))
-    return _exceedance_measure(ctx, np.broadcast_to(ctx.loglam, slopes.shape),
-                               slopes, None, 0.0, _radial_measure(ctx))
+    slopes = ctx.model.bg[:, None] * np.atleast_2d(np.asarray(theta, dtype=float)).T
+    return _exceedance_measure(ctx, ctx.loglam[:, None], slopes, None, 0.0,
+                               ctx.model.radial.tail)
 
 
 def _risks(ctx: ReplicationContext, w: np.ndarray) -> np.ndarray:

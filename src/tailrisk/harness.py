@@ -160,6 +160,8 @@ def run(model: ModelSpec, u: float, kind: EstimatorKind | str, n: int,
         # stratum j needs theta_j < 0 here, where f/f_IS is unbounded: the
         # variance is infinite and runs read low with too small an se
         flags.append("rn-unbounded-weight")
+    if kind.name == "cmc" and mean == 0.0:
+        flags.append("cmc-no-hits")
     if moments.clamped:
         flags.append(f"theta-clamped:{moments.clamped}")
     if moments.failures:

@@ -90,7 +90,7 @@ def chi_radial(d: int) -> RadialLaw:
         x = np.asarray(x, dtype=float)
         out = np.ones_like(x)
         pos = x > 0
-        out = np.where(pos, gammaincc(half, 0.5 * np.square(np.where(pos, x, 1.0))), out)
+        out = np.where(pos, gammaincc(half, 0.5 * np.square(np.where(pos, x, 0.0))), out)
         return np.where(np.isposinf(x), 0.0, out)
 
     def quantile(q: float) -> float:
@@ -289,22 +289,23 @@ def is_tuning_b(u: float, lam: float, bg: float, radial: RadialLaw,
 
     Minimizes the leading-order second moment of the weighted estimator,
     which scales like B(a, b) * T^b with T = u*log(u)/estar(u): the optimum
-    solves digamma(b) - digamma(a+b) + log(T) = 0.  For large u the solution
-    behaves like 1/log(T), which restores the asymptotically vanishing
-    second-moment growth; at benchmark scale it reproduces the reference
-    variation coefficients.  Capped below (d-1) where the weight's second
-    moment would diverge.
+    solves digamma(b) - digamma(a+b) + log(T) = 0, with u cancelled in
+    log T = log(log u) - log(bg) - log(nu(log(u/lam)/bg)) so that nothing
+    overflows.  For large u the solution behaves like 1/log(T), which
+    restores the asymptotically vanishing second-moment growth; at benchmark
+    scale it reproduces the reference variation coefficients.  Capped below
+    (d-1) where the weight's second moment would diverge.
     """
     if a <= 0:
         raise ValidationError("f_IS parameter a must be positive")
     cap = max(0.75 * (d - 1), 0.05)
     if u <= lam:            # not a rare threshold for this risk; no tuning signal
         return cap
-    es = estar_single(u, lam, bg, radial)
-    t = u * np.log(u) / es
-    if not np.isfinite(t) or t <= 1.0:
+    with np.errstate(divide="ignore", invalid="ignore"):     # u <= 1: no signal
+        logt = float(np.log(np.log(u)) - np.log(bg)
+                     - np.log(radial.nu(np.log(u / lam) / bg)))
+    if not np.isfinite(logt) or logt <= 0.0:
         return cap
-    logt = float(np.log(t))
 
     def fn(b: float) -> float:
         return digamma(b) - digamma(a + b) + logt

@@ -18,7 +18,7 @@ from tailrisk.estimators import (EstimatorKind, ak_values,
 from tailrisk.harness import run
 from tailrisk.model import ModelSpec, from_lognormal, reference_model
 from tailrisk.randsrc import RngStream
-from tailrisk.tails import chi_radial, is_tuning_b_vector
+from tailrisk.tails import chi_radial, exp_power_radial, is_tuning_b_vector
 from conftest import is_density, sphere_density, two_risk_model
 
 
@@ -251,7 +251,6 @@ def test_mak_stratified_unbiased_vs_cmc():
 
 def test_mak_requires_gaussian_radial():
     # refused when the engine is built, before any draw
-    from tailrisk.tails import exp_power_radial
     m = two_risk_model()
     generic_law = dataclasses.replace(chi_radial(2), gaussian_dim=None)
     mg = ModelSpec(lam=m.lam, beta=m.beta, gamma=m.gamma, sigma=m.sigma,
@@ -265,13 +264,50 @@ def test_mak_requires_gaussian_radial():
         run(elliptical, 2e4, "mak", 4096, seed=1)
 
 
+def two_branch_normal_measure(lo, hi):
+    """P(lo <= N < hi) with an upper-tail difference right of 0 and a cdf
+    difference left of it: the reference the one-tail helper must match."""
+    upper = phi_bar(lo) - phi_bar(hi)
+    lower = ndtr(hi) - ndtr(lo)
+    with np.errstate(invalid="ignore"):      # -inf + inf rows take either branch
+        out = np.where(lo + hi > 0.0, upper, lower)
+    return np.where(hi > lo, np.maximum(out, 0.0), 0.0)
+
+
+def test_tail_measure_matches_the_two_branch_normal_measure():
+    # every pair of ends: +-inf, pieces straddling 0, |x| out to 38, empty
+    # (lo == hi) and reversed (hi < lo) pieces
+    ends = np.concatenate([
+        [-np.inf, -38.0, -37.5, -20.0, -5.0, -1.0, -1e-300, -0.0, 0.0, 1e-300,
+         0.3, 1.0, 5.0, 20.0, 37.5, 38.0, np.inf],
+        np.random.default_rng(3).normal(0.0, 15.0, 40)])
+    lo, hi = (a.ravel() for a in np.meshgrid(ends, ends))
+    assert (hi < lo).any() and (hi == lo).any() and ((lo < 0) & (hi > 0)).any()
+    got = est._tail_measure(tails.normal_tail, lo, hi)
+    assert np.array_equal(got, two_branch_normal_measure(lo, hi))
+
+
+@pytest.mark.parametrize("law", [chi_radial(3), chi_radial(10), exp_power_radial(1.5)],
+                         ids=lambda law: law.name)
+def test_tail_measure_of_radius_pieces_is_the_tail_difference(law):
+    ends = np.array([0.0, 1e-300, 0.1, 0.5, 1.0, 3.0, 7.5, 30.0, np.inf])
+    lo, hi = (a.ravel() for a in np.meshgrid(ends, ends))
+    want = np.where(hi > lo, np.maximum(law.tail(lo) - law.tail(hi), 0.0), 0.0)
+    assert np.array_equal(est._tail_measure(law.tail, lo, hi), want)
+
+
+def cauchy_tail(x):
+    """Upper tail of the standard Cauchy law, symmetric about 0 like N."""
+    return 0.5 - np.arctan(x) / np.pi
+
+
 @pytest.mark.parametrize("t_min", [-np.inf, 0.0])
-def test_max_window_matches_grid_argmax(t_min):
-    # at u = 0 the whole line exceeds, so the helper measures exactly the
-    # window where line j is the highest, cut to the domain; the measure
-    # records that window on its first call.  Integer slopes and half the
-    # levels integer force slope ties (dead rows when the tied line is above
-    # j) and rows where j never wins.
+def test_max_window_matches_grid_argmax(t_min, monkeypatch):
+    # at u = 0 the whole line exceeds, so the helper's first piece is exactly
+    # the window where line j is the highest, cut to the domain; a recorder
+    # keeps it and measures it under a Cauchy driver.  Integer slopes and half
+    # the levels integer force slope ties (dead rows when the tied line is
+    # above j) and rows where j never wins.
     gen = np.random.default_rng(5)
     d, m = 4, 400
     ctx = make_context(from_lognormal(np.zeros(d), np.ones(d)), 0.0)
@@ -282,14 +318,16 @@ def test_max_window_matches_grid_argmax(t_min):
     grid = grid[grid >= t_min]
     lines = logk[:, :, None] + slopes[:, :, None] * grid      # (m, d, T)
     calls = []
+    tail_measure = est._tail_measure
 
-    def measure(lo, hi):
-        calls.append((lo, hi))
-        return np.where(hi > lo, 1.0, 0.0)
+    def recorder(tail, lo, hi):
+        calls.append(np.broadcast_arrays(lo, hi))
+        return tail_measure(tail, lo, hi)
 
+    monkeypatch.setattr(est, "_tail_measure", recorder)
     for j in range(d):
         calls.clear()
-        vals, ok = est._exceedance_measure(ctx, logk, slopes, j, t_min, measure)
+        vals, ok = est._exceedance_measure(ctx, logk.T, slopes.T, j, t_min, cauchy_tail)
         w_lo, w_hi = calls[0]
         assert ok.all() and np.all(w_lo >= t_min)
         others = np.max(np.delete(lines, j, axis=1), axis=1)    # (m, T)
@@ -308,9 +346,9 @@ def test_max_window_matches_grid_argmax(t_min):
         assert tie_above.any() and (~live & ~tie_above).any()
         assert (live & (w_lo == t_min)).any() and (live & (w_hi == np.inf)).any()
     calls.clear()
-    vals, _ = est._exceedance_measure(ctx, logk, slopes, None, t_min, measure)
+    vals, _ = est._exceedance_measure(ctx, logk.T, slopes.T, None, t_min, cauchy_tail)
     assert np.all(calls[0][0] == t_min) and np.all(calls[0][1] == np.inf)
-    assert np.all(vals == 1.0)
+    assert np.all(vals == cauchy_tail(t_min))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +459,6 @@ def test_ak_flagged_on_dependent_risks():
     # ak draws independent normals: correlated risks and non-Gaussian radial
     # laws (dependent even at sigma = I) make it biased, so the run says so
     from tailrisk.model import reference_model
-    from tailrisk.tails import exp_power_radial
     m0 = two_risk_model()
     elliptical = ModelSpec(lam=m0.lam, beta=m0.beta, gamma=1.0, sigma=m0.sigma,
                            radial=exp_power_radial(1.5))
@@ -446,7 +483,6 @@ def test_zr_single_risk_unbiased():
 
 
 def test_generic_radial_rn_matches_cmc():
-    from tailrisk.tails import exp_power_radial
     m0 = two_risk_model(rho=0.3)
     m = ModelSpec(lam=m0.lam, beta=m0.beta, gamma=1.0, sigma=m0.sigma,
                   radial=exp_power_radial(1.5))
@@ -461,7 +497,6 @@ def test_generic_radial_rn_matches_cmc():
 
 def test_generic_radial_zr_matches_cmc():
     # exp-power radius: the radial conditional estimator against crude MC
-    from tailrisk.tails import exp_power_radial
     m0 = two_risk_model(rho=0.3)
     m = ModelSpec(lam=m0.lam, beta=m0.beta, gamma=1.0, sigma=m0.sigma,
                   radial=exp_power_radial(1.5))

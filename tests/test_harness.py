@@ -176,6 +176,18 @@ def test_rn_flagged_below_d_times_max_lambda():
             assert run(reference_model(rho), u, "rn", 2, seed=1).flags == ()
 
 
+def test_cmc_without_hits_is_flagged():
+    # reference_model(0.4) at u = 5e5 gets no hit in 4096 reps, seed 1
+    m = reference_model(0.4)
+    assert run(m, 5e5, "cmc", 4096, seed=1).flags == ("cmc-no-hits",)
+    assert run(m, 2e4, "cmc", 4096, seed=1).flags == ()
+    assert run(m, 5e5, "mak", 4096, seed=1).flags == ()
+    rows = compare(m, [0.4], [5e5, 2e4], ["cmc"], n=4096, seed=1)
+    lines = [line.split(",") for line in table_csv(rows).splitlines()[1:]]
+    assert [line[3] for line in lines] == ["0", "0.00048828125"]
+    assert [line[-1] for line in lines] == ["cmc-no-hits", ""]
+
+
 # (mean, per_rep_std) on reference_model(0.4), 4096 reps, seed 1, checked
 # in so that any drift in the arithmetic of a core shows in the test suite
 # and not only in benchmark digests.

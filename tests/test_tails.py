@@ -1,13 +1,14 @@
 """Normal tails, radial laws, sphere densities, scaling machinery."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
-from tailrisk import ModelSpec, asymptotic_alpha, reference_model
+from tailrisk import ModelSpec, asymptotic_alpha, from_lognormal, reference_model
 from tailrisk.errors import ValidationError
 from tailrisk.tails import (chi_radial, estar_hazard_single, estar_single,
                             exp_power_radial, is_tuning_b, is_tuning_b_vector,
@@ -78,8 +79,10 @@ def test_chi_radial_tail_and_quantile():
     for x in (0.5, 2.0, 4.148, 8.0):
         exact = float(mp.gammainc(5, mp.mpf(x) ** 2 / 2, mp.inf) / mp.gamma(5))
         assert float(law.tail(x)) == pytest.approx(exact, rel=1e-12)
-    assert float(law.tail(-1.0)) == 1.0
-    assert float(law.tail(0.0)) == 1.0
+    for d in (1, 2, 3, 10):
+        tail = chi_radial(d).tail
+        assert np.all(tail(np.array([-np.inf, -1.0, -1e-300, -0.0, 0.0, 1e-300])) == 1.0)
+        assert float(tail(np.inf)) == 0.0
     for q in (0.9, 0.1, 1e-6):
         assert float(law.tail(law.quantile(q))) == pytest.approx(q, rel=1e-10)
 
@@ -466,6 +469,16 @@ def test_is_tuning_b_positive_decreasing(bench_model):
     vec = is_tuning_b_vector(bench_model, 20000.0, a=10.0)
     assert vec.shape == (10,)
     assert vec[-1] == pytest.approx(1.5975, rel=1e-3)
+
+
+def test_is_tuning_b_finite_at_the_largest_threshold():
+    # T = u log(u) / estar(u) overflows at u = 1e308; log T does not
+    m = from_lognormal([0.0, 0.0], [1e4, 1e4], 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = is_tuning_b_vector(m, 1e308, a=10.0)
+    assert np.all(np.isfinite(b)) and b[0] == b[1]
+    assert b[0] == pytest.approx(0.5823, rel=1e-3)
 
 
 def test_is_tuning_b_cap_below_weight():
