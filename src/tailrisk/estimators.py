@@ -74,6 +74,8 @@ class EstimatorKind:
                 f"{', '.join(KNOWN_ESTIMATORS)}")
         if not (np.isfinite(self.a) and self.a > 0):
             raise ValidationError("estimator parameter a must be positive and finite")
+        if self.name != "rn" and self.a != 10.0:
+            raise ValidationError(f"estimator {self.name!r} takes no option a; only rn reads it")
 
     @classmethod
     def parse(cls, spec) -> "EstimatorKind":
@@ -176,12 +178,10 @@ def _exceedance_measure(ctx, logk, slopes, j, t_min, tail):
     Line j is the highest on the intersection of the half-lines
     {(slopes_j - slopes_i) t >= logk_i - logk_j}; at i == j both sides are 0.
     A line as steep as j and above it empties the window (w_hi = -inf).
-    Raising psi_hi to psi_lo leaves disjoint pieces as they are and turns the
-    whole-line encoding (+inf, -inf) into one left piece covering the window.
+    A whole-line set, (+inf, +inf), is one left piece covering the window.
     """
     rows = np.broadcast_arrays(logk, slopes)      # the solver takes whole rows
     psi_lo, psi_hi, ok = exceedance_bounds(rows[0].T, rows[1].T, ctx.log_u)
-    psi_hi = np.maximum(psi_hi, psi_lo)
     w_lo, w_hi = t_min, np.inf
     if j is not None:
         g = slopes[j] - slopes
@@ -244,13 +244,15 @@ def zr_values(ctx: ReplicationContext,
               theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radial exceedance probability given the correlated direction theta.
 
-    ``theta``: (m, d) rows A @ U for sphere-uniform U.  The value is
-    P(R < psi_lo) 1{psi_lo > 0} + P(R > psi_hi), i.e. the radial measure of
-    the exceedance set restricted to the nonnegative half-line.
+    ``theta``: terms-major (d, m) columns A @ U for sphere-uniform U.  The
+    value is P(R < psi_lo) 1{psi_lo > 0} + P(R > psi_hi), i.e. the radial
+    measure of the exceedance set restricted to the nonnegative half-line.
     """
-    slopes = ctx.model.bg[:, None] * np.atleast_2d(np.asarray(theta, dtype=float)).T
-    return _exceedance_measure(ctx, ctx.loglam[:, None], slopes, None, 0.0,
-                               ctx.model.radial.tail)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 2 or theta.shape[0] != ctx.d:
+        raise ValidationError(f"theta must be ({ctx.d}, m) columns")
+    return _exceedance_measure(ctx, ctx.loglam[:, None], ctx.model.bg[:, None] * theta,
+                               None, 0.0, ctx.model.radial.tail)
 
 
 def _risks(ctx: ReplicationContext, w: np.ndarray) -> np.ndarray:
@@ -401,7 +403,7 @@ def make_engine(ctx: ReplicationContext, kind: EstimatorKind
     if kname == "zr":
         def core(gen, count):
             u_sphere = randsrc.sphere_matrix(gen, count, d)
-            vals, ok = zr_values(ctx, u_sphere @ ctx.factors[0].T)
+            vals, ok = zr_values(ctx, ctx.factors[0] @ u_sphere.T)
             return vals, ok, 0
 
         def engine(gen, mb):

@@ -79,16 +79,11 @@ class _Moments:
 
 
 def resolve_threads(threads) -> int:
-    """Map the --threads setting (a count, 'auto' or None) onto a worker count.
-
-    'auto' and None defer to ``TAILRISK_THREADS``, parsed the same way, and
-    without it to the core count (at most 8).
-    """
+    """Map the --threads setting (a count, 'auto' or None) onto a worker count;
+    'auto' and None mean the core count, at most 8."""
     text = "" if threads is None else str(threads).strip()
     if text in ("", "auto"):
-        text = os.environ.get("TAILRISK_THREADS", "").strip()
-        if text in ("", "auto"):
-            return max(1, min(os.cpu_count() or 1, 8))
+        return max(1, min(os.cpu_count() or 1, 8))
     if not (text.isdecimal() and int(text) >= 1):
         raise ValidationError(f"threads must be an integer >= 1 or 'auto', got {text!r}")
     return int(text)

@@ -8,9 +8,10 @@ the complement of one interval, so it is fully described by a pair
 
     {x : h(x) > level} = (-inf, psi_lo) u (psi_hi, +inf)
 
-with ``psi_lo = -inf`` when the left component is empty, ``psi_hi = +inf``
-when the right one is, and the convention ``psi_lo >= psi_hi`` (encoded as
-``(+inf, -inf)``) when the whole line exceeds.
+with ``psi_lo = -inf`` when the left component is empty and ``psi_hi = +inf``
+when the right one is.  When the whole line exceeds, the pair is
+``(+inf, +inf)``, whose union is again every x, so the pair always reads as
+the set itself.
 
 Everything is evaluated through log-sum-exp, never in linear space, so the
 solver cannot overflow no matter how large the level or the coefficients;
@@ -26,9 +27,10 @@ below ``f``, so each Newton step moves left, keeps ``f >= 0`` and never
 passes the root: no bracket or bisection is needed.  An iterate with
 ``f' <= 0`` while ``f > 0`` lies left of the minimizer with the whole ray
 from the start above the level, so the minimum is above the level and the
-whole line exceeds.  The left boundary is the same solve on the mirrored sum
-``h(-x)``, which flips the sign of the iterate, not of the slopes.  A row
-with a single active term starts on its exact root and stops there.
+whole line exceeds.  A left boundary is minus the right boundary of the
+mirrored sum ``h(-x)``, whose slopes are the negated ones, so both kinds are
+the same right-root problem and are solved in one batch.  A row with a single
+active term starts on its exact root and stops there.
 """
 
 from __future__ import annotations
@@ -52,28 +54,25 @@ def _lse_grad(logc, s, x):
     return val, grad
 
 
-def _right_roots(logc, s, sign, level):
-    """Outside-in Newton in t for the right boundary of
-    {lse(logc + s*sign*t) > level}, per column of terms-major (d, m) arrays.
+def _right_roots(logc, s, level):
+    """Outside-in Newton in t for the right boundary of {lse(logc + s*t) >
+    level}, per column of terms-major (d, m) arrays.
 
-    ``sign = -1`` solves the mirrored sum, whose right boundary is minus the
-    left one.  Every column needs an active term (finite ``logc``) with
-    ``s*sign > 0``.  Returns (root, whole, ok): ``whole`` marks columns that
-    exceed the level on the whole line (their ``root`` is meaningless); ``ok``
-    is False where the iteration failed (a non-finite step or ``_MAX_ITER``).
-    Only columns still iterating are evaluated at each step.
+    Every column needs an active term (finite ``logc``) with ``s > 0``.
+    Returns (root, whole, ok): ``whole`` marks columns that exceed the level
+    on the whole line (their ``root`` is meaningless); ``ok`` is False where
+    the iteration failed (a non-finite step or ``_MAX_ITER``).  Only columns
+    still iterating are evaluated at each step.
     """
-    ms = s * sign
     with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (level - logc) / ms          # +inf for an absent term
-    t = np.min(np.where(ms > 0.0, cross, np.inf), axis=0)
+        cross = (level - logc) / s           # +inf for an absent term
+    t = np.min(np.where(s > 0.0, cross, np.inf), axis=0)
     root = t.copy()
     whole = np.zeros(t.size, dtype=bool)
     ok = np.zeros(t.size, dtype=bool)
     idx = np.arange(t.size)
     for _ in range(_MAX_ITER):
-        val, g = _lse_grad(logc, s, sign * t)
-        g *= sign
+        val, g = _lse_grad(logc, s, t)
         f = val - level
         fin = np.isfinite(f)
         turn = g <= 0.0
@@ -90,7 +89,7 @@ def _right_roots(logc, s, sign, level):
         if not keep.any():
             break
         # compress, not boolean indexing: L[:, mask] is F-ordered
-        idx, sign, level, t = idx[keep], sign[keep], level[keep], tn[keep]
+        idx, level, t = idx[keep], level[keep], tn[keep]
         logc, s = logc.compress(keep, axis=1), s.compress(keep, axis=1)
     return root, whole, ok
 
@@ -116,7 +115,7 @@ def exceedance_bounds(logc: np.ndarray, slopes: np.ndarray, log_level):
     logc = np.ascontiguousarray(np.asarray(logc, dtype=float).T)
     slopes = np.ascontiguousarray(np.asarray(slopes, dtype=float).T)
     n = logc.shape[1]
-    level = np.broadcast_to(np.asarray(log_level, dtype=float), (n,)).astype(float).copy()
+    level = np.full(n, log_level, dtype=float)
 
     psi_lo = np.full(n, -np.inf)
     psi_hi = np.full(n, np.inf)
@@ -148,15 +147,16 @@ def exceedance_bounds(logc: np.ndarray, slopes: np.ndarray, log_level):
     right = np.flatnonzero(~whole & np.any(act & (slopes > 0.0), axis=0))
     left = np.flatnonzero(~whole & np.any(act & (slopes < 0.0), axis=0))
     # one batch: the right boundaries, then the left ones as right boundaries
-    # of the mirrored sums
+    # of the mirrored sums, whose slopes are negated in the copy
     rows = np.concatenate([right, left])
-    sign = np.repeat([1.0, -1.0], [right.size, left.size])
+    s = np.take(slopes, rows, axis=1)
+    np.negative(s[:, right.size:], out=s[:, right.size:])
     root, over, conv = _right_roots(np.take(np.where(act, logc, -np.inf), rows, axis=1),
-                                    np.take(slopes, rows, axis=1), sign, level[rows])
+                                    s, level[rows])
     psi_hi[right] = root[:right.size]
     psi_lo[left] = -root[right.size:]
     ok[rows[~conv]] = False
     whole[rows[over]] = True
     psi_lo[whole] = np.inf
-    psi_hi[whole] = -np.inf
+    psi_hi[whole] = np.inf
     return psi_lo, psi_hi, ok

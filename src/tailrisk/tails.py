@@ -87,11 +87,8 @@ def chi_radial(d: int) -> RadialLaw:
     half = 0.5 * d
 
     def tail(x):
-        x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
-        pos = x > 0
-        out = np.where(pos, gammaincc(half, 0.5 * np.square(np.where(pos, x, 0.0))), out)
-        return np.where(np.isposinf(x), 0.0, out)
+        with np.errstate(over="ignore"):    # x^2/2 overflows to inf: tail 0
+            return gammaincc(half, 0.5 * np.square(np.maximum(x, 0.0)))
 
     def quantile(q: float) -> float:
         if not 0.0 < q < 1.0:
@@ -115,8 +112,8 @@ def exp_power_radial(p: float) -> RadialLaw:
         raise ValidationError("exp-power radial needs exponent p > 1")
 
     def tail(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0, np.exp(-np.power(np.maximum(x, 0.0), p)), 1.0)
+        with np.errstate(over="ignore"):    # x^p overflows to inf: tail 0
+            return np.exp(-np.power(np.maximum(x, 0.0), p))
 
     def quantile(q: float) -> float:
         if not 0.0 < q < 1.0:

@@ -96,13 +96,11 @@ def test_non_positive_definite_exits_one(tmp_path, capsys):
     assert "eigenvalue" in capsys.readouterr().err
 
 
-def test_bad_thread_count_exits_one(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, threads="auto")
-    monkeypatch.setenv("TAILRISK_THREADS", "two")
-    assert main(["run", "--config", cfg]) == 1
+def test_bad_thread_count_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--threads", "two"]) == 1
     assert "threads" in capsys.readouterr().err
-    monkeypatch.setenv("TAILRISK_THREADS", "0")
-    assert main(["run", "--config", cfg]) == 1
+    assert main(["run", "--config", cfg, "--threads", "0"]) == 1
 
 
 def test_missing_config_exits_one(capsys):
@@ -164,6 +162,7 @@ def test_chi_dof_other_than_dimension_exits_one(tmp_path, capsys):
     ({"n": "many"}, '"n"'),
     ({"estimators": [{"name": "rn", "a": "x"}]}, "'x'"),
     ({"estimators": ["rn(b=3)"]}, "b"),
+    ({"estimators": [{"name": "zr", "a": 3}]}, "'zr'"),
 ])
 def test_config_errors_exit_one(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)

@@ -48,6 +48,14 @@ def test_kind_parsing():
         EstimatorKind.parse("isve")
 
 
+def test_option_a_is_refused_off_rn():
+    # only rn reads a; elsewhere it would be dropped under a label without it
+    for spec in ("mak(a=5)", {"name": "zr", "a": 3}, "cmc(a=1)"):
+        with pytest.raises(ValidationError, match="only rn"):
+            EstimatorKind.parse(spec)
+    assert EstimatorKind.parse("mak(a=10)").label() == "MAK"
+
+
 # ---------------------------------------------------------------------------
 # crude Monte Carlo
 # ---------------------------------------------------------------------------
@@ -210,7 +218,7 @@ def test_zr_mixed_slope_oracle():
     m = two_risk_model()
     u = 25.0
     ctx = make_context(m, u)
-    theta = np.array([[0.6, -0.4]])
+    theta = np.array([[0.6], [-0.4]])
     root = brentq(lambda r: math.exp(0.6 * r) + math.exp(-0.4 * r) - u,
                   0.0, 100.0, xtol=1e-13)
     vals, ok = zr_values(ctx, theta)
@@ -361,10 +369,12 @@ def test_zr_single_slope_reduction():
     u = 100.0
     ctx = make_context(m, u)
     t = 0.6
-    vals, ok = zr_values(ctx, np.array([[t, t]]))
+    vals, ok = zr_values(ctx, np.array([[t], [t]]))
     assert ok.all()
     want = ctx.model.radial.tail(math.log(u / 2.0) / t)
     assert vals[0] == pytest.approx(float(want), rel=1e-10)
+    with pytest.raises(ValidationError):      # a row, not a (d, m) column
+        zr_values(ctx, np.array([[t, t]]))
 
 
 def test_zr_level_zero_is_one():

@@ -238,26 +238,14 @@ def test_table_formats_and_stability():
     assert txt.splitlines()[0].split()[:3] == ["rho", "u", "method"]
 
 
-def test_resolve_threads(monkeypatch):
+def test_resolve_threads():
     assert resolve_threads(3) == 3
-    monkeypatch.setenv("TAILRISK_THREADS", "2")
-    assert resolve_threads(None) == 2
-    assert resolve_threads("auto") == 2
-    monkeypatch.delenv("TAILRISK_THREADS")
     assert resolve_threads("auto") >= 1
+    assert resolve_threads(None) == resolve_threads("auto")
     assert resolve_threads(" 2 ") == 2
     for bad in (0, -1, "two", 2.5):
         with pytest.raises(ValidationError):
             resolve_threads(bad)
-    # the environment variable is parsed by the same rule as the argument
-    for bad in ("0", "two", "-1", "1.5"):
-        monkeypatch.setenv("TAILRISK_THREADS", bad)
-        with pytest.raises(ValidationError):
-            resolve_threads("auto")
-    monkeypatch.setenv("TAILRISK_THREADS", "auto")
-    assert resolve_threads(None) >= 1
-    monkeypatch.setenv("TAILRISK_THREADS", "3")
-    assert resolve_threads(4) == 4     # an explicit count wins over the variable
 
 
 def test_attach_efficiency_zero_variance():

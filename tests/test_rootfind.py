@@ -20,8 +20,8 @@ def bounds(coeffs, slopes, level) -> tuple[float, float]:
 
 
 def inside(lo, hi, x):
-    """Membership in (-inf, lo) u [hi, inf); the whole-line encoding
-    (+inf, -inf) holds every x, the empty one (-inf, +inf) none."""
+    """Membership in (-inf, lo) u [hi, inf); the whole line (+inf, +inf)
+    holds every x, the empty set (-inf, +inf) none."""
     x = np.asarray(x, dtype=float)
     return (x < lo) | (x >= hi)
 
@@ -85,7 +85,7 @@ def test_psi_bounds_cases():
     assert np.isfinite(lo) and hi == np.inf
 
     # mixed sum whose minimum sits above the level: everything exceeds
-    assert bounds([10.0, 10.0], [-1.0, 1.0], 5.0) == (np.inf, -np.inf)
+    assert bounds([10.0, 10.0], [-1.0, 1.0], 5.0) == (np.inf, np.inf)
 
 
 def test_zero_slope_folding():
@@ -95,7 +95,7 @@ def test_zero_slope_folding():
     assert lo == -np.inf
     assert hi == pytest.approx(0.0, abs=1e-12)
     # constant alone exceeds: whole line
-    assert bounds(c, s, 4.0) == (np.inf, -np.inf)
+    assert bounds(c, s, 4.0) == (np.inf, np.inf)
     # pure constant below the level: empty set
     assert bounds([1.0], [0.0], 2.0) == (-np.inf, np.inf)
 
@@ -190,6 +190,30 @@ def test_memory_layout_does_not_change_the_bounds():
     for other in runs[1:]:
         for a, b in zip(runs[0], other):
             assert np.array_equal(a, b)
+
+
+def test_mirrored_rows_swap_and_negate_the_bounds_bitwise():
+    # left boundaries are solved as right roots of the negated-slope rows, so
+    # negating the slopes must give exactly (-psi_hi, -psi_lo); whole rows,
+    # (+inf, +inf), stay whole
+    rng = np.random.default_rng(2006)
+    n, d = 5000, 5
+    logc = rng.normal(0.0, 2.0, (n, d))
+    logc[rng.random((n, d)) < 0.2] = -np.inf          # absent terms
+    slopes = rng.normal(0.0, 1.5, (n, d))
+    slopes[rng.random((n, d)) < 0.1] = 0.0            # folded into the level
+    level = rng.normal(2.0, 2.0, n)
+    level[rng.random(n) < 0.02] = -np.inf             # nonpositive levels
+    lo, hi, ok = exceedance_bounds(logc, slopes, level)
+    mlo, mhi, mok = exceedance_bounds(logc, -slopes, level)
+    assert ok.all() and mok.all()
+    whole = np.isposinf(lo) & np.isposinf(hi)
+    assert 100 < whole.sum() < n // 2
+    assert np.array_equal(whole, np.isposinf(mlo) & np.isposinf(mhi))
+    assert np.all(lo[~whole] < hi[~whole])
+    bits = lambda x: x.view(np.int64)                  # noqa: E731  -0.0 != 0.0
+    assert np.array_equal(bits(mlo[~whole]), bits(-hi[~whole]))
+    assert np.array_equal(bits(mhi[~whole]), bits(-lo[~whole]))
 
 
 def test_near_degenerate_negative_slope():

@@ -132,6 +132,15 @@ def test_exp_power_radial():
         exp_power_radial(1.0)
 
 
+def test_radial_tails_far_out_are_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for law in (chi_radial(10), exp_power_radial(1.5)):
+            assert float(law.tail(1e300)) == 0.0
+            assert np.array_equal(law.tail([-1.0, 0.0, 1e300, np.inf]),
+                                  [1.0, 1.0, 0.0, 0.0])
+
+
 def test_make_radial_registry():
     assert make_radial("chi", dof=4).name == "chi(4)"
     assert make_radial("exp-power", p=3.0).name == "exp-power(3.0)"
